@@ -45,28 +45,24 @@ from .hensel import (
     roots_mod_uni,
     well_defined_residue_check,
 )
-from .vdp_multi import (
-    VdpTableN,
+from .vdp import (
+    VdpTable,
+    e_m,
     e_multi,
     index_set,
-    normalize_weighted,
-    projection,
-    sampled_weighted_lip_check,
-    vdp_coeff_multi_ie,
-    vdp_coeff_multi_rec,
-    vdp_eval_multi,
-    vdp_expand_multi,
-    weighted_lip_bound_check,
-)
-from .vdp_uni import (
-    VdpTable1,
-    e_m,
     lip_alpha_check_uni,
     normalize_alpha,
+    normalize_weighted,
+    projection,
     sampled_lip_check_uni,
+    sampled_weighted_lip_check,
+    vdp_coeff_multi_ie,
     vdp_coeff_uni,
+    vdp_eval_multi,
     vdp_eval_uni,
+    vdp_expand_multi,
     vdp_expand_uni,
+    weighted_lip_bound_check,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .core import (
+    DEFAULT_BUDGET,
     EnumerationBudgetError,
     InvalidPrimeError,
     PadicError,
@@ -40,23 +41,17 @@ from .hensel import (
     brute_force_roots_multi,
     hensel_lift_multi,
     hensel_lift_uni,
-    roots_mod_uni,
     well_defined_residue_check,
 )
-from .vdp_multi import (
-    VdpTableN,
+from .vdp import (
+    VdpTable,
+    lip_alpha_check_uni,
     projection,
     sampled_weighted_lip_check,
     vdp_eval_multi,
     vdp_expand_multi,
-    weighted_lip_bound_check,
-)
-from .vdp_uni import (
-    VdpTable1,
-    lip_alpha_check_uni,
-    sampled_lip_check_uni,
-    vdp_eval_uni,
     vdp_expand_uni,
+    weighted_lip_bound_check,
 )
 
 EXIT_OK = 0
@@ -64,8 +59,6 @@ EXIT_NEGATIVE = 1
 EXIT_CONFIG = 2
 EXIT_EVALUATION = 3
 EXIT_PRECISION = 4
-
-DEFAULT_BUDGET = 10**7
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -198,48 +191,30 @@ def _sup_norm_fields(ord_exponent: int | None, p: int) -> dict:
 
 def _cmd_expand(args) -> tuple[dict, dict, int]:
     defn = _load_function(args)
-    p, level = args.prime, args.level
+    p, level, arity = args.prime, args.level, defn.arity
     if level < 1:
         raise ValueError(f"--level must be >= 1, got {level}")
     work = args.precision + divp_budget(defn.body)
-    if defn.arity == 1:
-        table = vdp_expand_uni(as_univariate(defn), level, p, work, budget=args.budget)
-        table_json = table.to_json()
-        reconstruct = lambda m: vdp_eval_uni(table, from_integer(m, p, work))
-        direct = lambda m: as_univariate(defn)(from_integer(m, p, work))
-        grid = p**level
-        sample_point = lambda rng: rng.randrange(grid)
-        agree = lambda m: reconstruct(m).digits[: table.precision] == direct(m).digits[: table.precision]
-    else:
-        table = vdp_expand_multi(
-            as_point_function(defn), level, defn.arity, p, work, budget=args.budget
-        )
-        table_json = table.to_json()
-        side = p**level
-
-        def sample_point(rng):
-            return tuple(rng.randrange(side) for _ in range(defn.arity))
-
-        def agree(m):
-            got = vdp_eval_multi(table, PadicPoint.from_integers(m, p, work))
-            want = as_point_function(defn)(PadicPoint.from_integers(m, p, work))
-            return got.digits[: table.precision] == want.digits[: table.precision]
+    F = as_point_function(defn)
+    table = vdp_expand_multi(F, level, arity, p, work, budget=args.budget)
 
     # success postcondition: reconstruction spot check on sampled grid points
     rng = random.Random(args.seed)
-    checked = min(10, p ** (level * defn.arity))
+    checked = min(10, p ** (level * arity))
     for _ in range(checked):
-        m = sample_point(rng)
-        if not agree(m):
+        m = tuple(rng.randrange(table.side) for _ in range(arity))
+        point = PadicPoint.from_integers(m, p, work)
+        got, want = vdp_eval_multi(table, point), F(point)
+        if got.digits[: table.precision] != want.digits[: table.precision]:
             raise PadicError(f"internal: reconstruction mismatch at grid point {m}")
 
     result = {
-        "table": table_json,
-        "arity": defn.arity,
+        "table": table.to_json(),
+        "arity": arity,
         "spot_check": {"points": checked, "ok": True},
         **_sup_norm_fields(table.sup_norm_ord(), p),
     }
-    config = _config_echo(args, level=level, arity=defn.arity)
+    config = _config_echo(args, level=level, arity=arity)
     return result, config, EXIT_OK
 
 
@@ -262,48 +237,29 @@ def _cmd_eval(args) -> tuple[dict, dict, int]:
     return result, config, EXIT_OK
 
 
-def _load_table(path: Path):
-    data = json.loads(path.read_text())
-    if "n" in data:
-        return VdpTableN.from_json(data)
-    return VdpTable1.from_json(data)
-
-
 def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
     p = args.prime
     defn: FuncDef | None = None
     if args.table is not None:
-        table = _load_table(args.table)
+        table = VdpTable.from_json(json.loads(args.table.read_text()))
         if table.prime != p:
             raise ValueError(f"table prime {table.prime} does not match --prime {p}")
-        arity = table.arity if isinstance(table, VdpTableN) else 1
         level = table.level
         work = table.precision
-        uni_fn = table.function() if isinstance(table, VdpTable1) else None
-        point_fn = table.function() if isinstance(table, VdpTableN) else None
-        declared = None
+        F = lambda x: vdp_eval_multi(table, x)
     else:
         defn = _load_function(args)
-        arity = defn.arity
         level = args.level
         if level < 1:
             raise ValueError(f"--level must be >= 1, got {level}")
         work = args.precision + divp_budget(defn.body)
-        uni_fn = as_univariate(defn) if arity == 1 else None
-        point_fn = as_point_function(defn) if arity > 1 else None
-        declared = defn.alpha
-        if arity == 1:
-            table = vdp_expand_uni(uni_fn, level, p, work, budget=args.budget)
-        else:
-            table = vdp_expand_multi(point_fn, level, arity, p, work, budget=args.budget)
+        F = as_point_function(defn)
+        table = vdp_expand_multi(F, level, defn.arity, p, work, budget=args.budget)
+    arity = table.arity
     alpha = _resolve_alpha(args.alpha, defn, arity, default_zero=False)
 
-    tiers: dict = {}
-    if arity == 1:
-        bound = lip_alpha_check_uni(table, alpha[0])
-    else:
-        bound = weighted_lip_bound_check(table, alpha)
-    tiers["necessary-bound"] = bound.to_json()
+    bound = weighted_lip_bound_check(table, alpha)
+    tiers: dict = {"necessary-bound": bound.to_json()}
 
     if arity == 1:
         tiers["projection-sampled"] = {"applicable": False}
@@ -317,7 +273,7 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
             for _ in range(args.projection_samples):
                 fixed_ints = [rng.randrange(modulus) for _ in range(arity - 1)]
                 fixed = tuple(from_integer(v, p, work) for v in fixed_ints)
-                proj = projection(point_fn, coord, fixed)
+                proj = projection(F, coord, fixed)
                 sub_table = vdp_expand_uni(proj, level, p, work, budget=args.budget)
                 verdict = lip_alpha_check_uni(sub_table, alpha[coord - 1])
                 if not verdict.holds and witness is None:
@@ -335,12 +291,7 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
             "note": "fixed coordinates are sampled, not exhaustive",
         }
 
-    if arity == 1:
-        pair = sampled_lip_check_uni(uni_fn, alpha[0], args.samples, p, work, seed=args.seed)
-    else:
-        pair = sampled_weighted_lip_check(
-            point_fn, alpha, args.samples, arity, p, work, seed=args.seed
-        )
+    pair = sampled_weighted_lip_check(F, alpha, args.samples, arity, p, work, seed=args.seed)
     tiers["pair-sampled"] = pair.to_json()
 
     violated = (not bound.holds) or proj_violated or (not pair.ok)
@@ -358,19 +309,10 @@ def _cmd_roots(args) -> tuple[dict, dict, int]:
     p, k = args.prime, args.level
     alpha = _resolve_alpha(args.alpha, defn, defn.arity, default_zero=True)
     work = k + divp_budget(defn.body)
-    if defn.arity == 1:
-        residues: list = roots_mod_uni(
-            as_univariate(defn), alpha[0], k, p,
-            eval_precision=work, budget=args.budget,
-        )
-    else:
-        residues = [
-            list(r)
-            for r in brute_force_roots_multi(
-                as_point_function(defn), k, alpha, defn.arity, p,
-                eval_precision=work, budget=args.budget,
-            )
-        ]
+    roots = brute_force_roots_multi(
+        as_point_function(defn), k, alpha, defn.arity, p, eval_precision=work, budget=args.budget
+    )
+    residues = [r[0] if defn.arity == 1 else list(r) for r in roots]
     result = {
         "level": k,
         "alpha": list(alpha),

@@ -33,7 +33,10 @@ __all__ = [
     "floor_log_p",
     "digit_length",
     "is_prime",
+    "DEFAULT_BUDGET",
 ]
+
+DEFAULT_BUDGET = 10**7  # evaluations an exhaustive enumeration may spend
 
 
 class PadicError(Exception):

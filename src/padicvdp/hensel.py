@@ -34,6 +34,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .core import (
+    DEFAULT_BUDGET,
     EnumerationBudgetError,
     PadicError,
     PadicInt,
@@ -41,8 +42,7 @@ from .core import (
     PrecisionExhaustedError,
     from_integer,
 )
-from .vdp_multi import PointEvaluator, projection
-from .vdp_uni import UniEvaluator
+from .vdp import PointEvaluator, UniEvaluator, as_point_evaluator, projection
 
 __all__ = [
     "PreconditionError",
@@ -60,8 +60,6 @@ __all__ = [
     "root_exists_via_projection",
     "ProjectionRootReport",
 ]
-
-DEFAULT_BUDGET = 10**7
 
 STATUS_LIFTED = "lifted"
 STATUS_CONDITION_FAILED = "condition-failed"
@@ -313,17 +311,8 @@ def hensel_lift_uni(
     The returned trace is replay-verified: status "lifted" means the root
     satisfies f = 0 mod p^target_precision and is congruent to start.
     """
-    F: PointEvaluator = lambda pt: f(pt.coords[0])
-    return _lift(
-        F,
-        (alpha,),
-        (start,),
-        l0,
-        target_precision,
-        prime,
-        coordinate=1,
-        eval_precision=eval_precision,
-    )
+    F = as_point_evaluator(f)
+    return _lift(F, (alpha,), (start,), l0, target_precision, prime, 1, eval_precision)
 
 
 def hensel_lift_multi(
@@ -345,14 +334,7 @@ def hensel_lift_multi(
     and records the choice.
     """
     return _lift(
-        F,
-        tuple(alpha),
-        tuple(start),
-        l0,
-        target_precision,
-        prime,
-        coordinate=coordinate,
-        eval_precision=eval_precision,
+        F, tuple(alpha), tuple(start), l0, target_precision, prime, coordinate, eval_precision
     )
 
 
@@ -365,23 +347,10 @@ def roots_mod_uni(
     budget: int = DEFAULT_BUDGET,
 ) -> list[int]:
     """All residues x < p^k with f(x) = 0 mod p^(k - alpha), by enumeration."""
-    if alpha < 0:
-        raise PreconditionError(f"alpha must be >= 0, got {alpha}")
-    if k < 1 + alpha:
-        raise PreconditionError(f"level k must be >= 1 + alpha, got k={k}, alpha={alpha}")
-    if prime**k > budget:
-        raise EnumerationBudgetError(
-            f"enumerating p^{k} residues exceeds budget {budget}"
-        )
-    W = eval_precision if eval_precision is not None else k
-    if W < k:
-        raise PreconditionError(f"evaluation precision {W} below level {k}")
-    roots = []
-    for x in range(prime**k):
-        value = f(from_integer(x, prime, W))
-        if _known_zero_to(value, k - alpha, f"root test at {x}"):
-            roots.append(x)
-    return roots
+    roots = brute_force_roots_multi(
+        as_point_evaluator(f), k, (alpha,), 1, prime, eval_precision, budget
+    )
+    return [x for (x,) in roots]
 
 
 @dataclass(frozen=True)
@@ -466,6 +435,8 @@ def brute_force_roots_multi(
     alpha = tuple(alpha)
     if len(alpha) != arity:
         raise PreconditionError(f"weight length {len(alpha)}, arity {arity}")
+    if any(a < 0 for a in alpha):
+        raise PreconditionError("alpha entries must be >= 0")
     if k < 1 + max(alpha):
         raise PreconditionError(
             f"level k must be >= 1 + max(alpha), got k={k}, alpha={alpha}"
@@ -481,7 +452,7 @@ def brute_force_roots_multi(
     order = k - max(alpha)
     roots = []
     for values in product(range(prime**k), repeat=arity):
-        if _known_zero_to(_as_padic(F, values, prime, W), order, "root test"):
+        if _known_zero_to(_as_padic(F, values, prime, W), order, f"root test at {values}"):
             roots.append(values)
     return roots
 

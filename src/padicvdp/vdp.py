@@ -1,0 +1,549 @@
+"""Van der Put machinery on Z_p^n; one variable is the case n = 1.
+
+Products E_m(x) = e_{m_1}(x_1) ... e_{m_n}(x_n) of the indicators e_k (is k
+an initial part of x?) form an orthonormal basis of the continuous functions
+on Z_p^n. The coefficient of E_m is an alternating sum of F over the corners
+obtained by stripping top digits of the coordinates in I(m) = {i : m_i >= p};
+at n = 1 it is B_m = f(m) - f(m*) for m >= p and plain f(m) below p. The
+bound ord(A_m) >= max_{i in I(m)} (floor(log_p m_i) - alpha_i) is equivalent
+to p^alpha-Lipschitz at n = 1 and necessary only for n >= 2.
+
+Arity-1 results carry scalars where the general ones carry 1-tuples
+(weights, violating indices, sampled witness points, the JSON format); the
+`_uni` functions convert between the two and call the general code.
+"""
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass, replace
+from itertools import combinations, product
+from typing import Callable, Iterator, Sequence
+
+from .core import (
+    DEFAULT_BUDGET,
+    EnumerationBudgetError,
+    PadicError,
+    PadicInt,
+    PadicPoint,
+    PrecisionExhaustedError,
+    floor_log_p,
+    initial_part,
+    is_prime,
+    m_star,
+)
+
+__all__ = [
+    "UniEvaluator",
+    "PointEvaluator",
+    "as_point_evaluator",
+    "LipschitzBoundError",
+    "bound_log",
+    "index_set",
+    "e_m",
+    "e_multi",
+    "initial_parts_below",
+    "VdpTable",
+    "vdp_coeff_uni",
+    "vdp_coeff_multi_ie",
+    "vdp_expand_uni",
+    "vdp_expand_multi",
+    "vdp_eval_uni",
+    "vdp_eval_multi",
+    "LipschitzVerdict",
+    "lip_alpha_check_uni",
+    "weighted_lip_bound_check",
+    "normalize_alpha",
+    "normalize_weighted",
+    "denormalize_alpha",
+    "denormalize_weighted",
+    "projection",
+    "SampledLipschitzReport",
+    "sampled_lip_check_uni",
+    "sampled_weighted_lip_check",
+]
+
+UniEvaluator = Callable[[PadicInt], PadicInt]
+PointEvaluator = Callable[[PadicPoint], PadicInt]
+
+
+class LipschitzBoundError(PadicError):
+    """A coefficient table violates the bound required for normalization."""
+
+
+def as_point_evaluator(f: UniEvaluator) -> PointEvaluator:
+    """A one-variable evaluator as an evaluator on points of arity 1."""
+    return lambda x: f(x.coords[0])
+
+
+def _tuple(value) -> tuple:
+    """General form of a weight or index: a scalar becomes a 1-tuple."""
+    return tuple(value) if isinstance(value, (tuple, list)) else (value,)
+
+
+def _shape(values: tuple[int, ...]) -> int | tuple[int, ...]:
+    """Public form of a weight or index: a 1-tuple becomes a scalar."""
+    return values[0] if len(values) == 1 else values
+
+
+def _json(value):
+    return [_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def bound_log(m: int, p: int) -> int:
+    """floor(log_p m) as used in coefficient bounds; 0 for all m < p."""
+    return floor_log_p(m, p) if m >= p else 0
+
+
+def index_set(m: Sequence[int], prime: int) -> tuple[int, ...]:
+    """1-based coordinates of m with entry >= p (where digit stripping applies)."""
+    return tuple(i + 1 for i, v in enumerate(m) if v >= prime)
+
+
+def e_multi(m: Sequence[int], x: PadicPoint) -> int:
+    """Product indicator: 1 when every m_i is an initial part of x_i."""
+    if len(m) != x.arity:
+        raise ValueError(f"multi-index of arity {len(m)} against point of arity {x.arity}")
+    return int(all(initial_part(mi, xi) for mi, xi in zip(m, x.coords)))
+
+
+def e_m(m: int, x: PadicInt) -> int:
+    """Basis indicator: 1 when m is an initial part of x, else 0."""
+    return e_multi((m,), PadicPoint((x,)))
+
+
+def initial_parts_below(x: PadicInt, level: int) -> list[int]:
+    """Distinct standard-sequence values of x below p^level, ascending."""
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    if x.precision < level:
+        raise PrecisionExhaustedError(
+            f"listing initial parts below p^{level} needs {level} digits, "
+            f"value has {x.precision}"
+        )
+    parts: list[int] = []
+    acc = 0
+    power = 1
+    for k in range(level):
+        acc += x.digits[k] * power
+        power *= x.prime
+        if not parts or parts[-1] != acc:
+            parts.append(acc)
+    return parts
+
+
+def _check_count(prime: int, exponent: int, count: int, what: str) -> None:
+    """Raise unless count == prime^exponent, never forming a power above count."""
+    size = 1
+    for _ in range(exponent):
+        size *= prime
+        if size > count:
+            break
+    if size != count:
+        raise ValueError(f"{what} needs {prime}^{exponent} coefficients, got {count}")
+
+
+def _key(m: tuple[int, ...]) -> str:
+    return "(" + ",".join(str(v) for v in m) + ")"
+
+
+def _entry(p: int, digits) -> PadicInt:
+    if not isinstance(digits, list):
+        raise ValueError(f"coefficient entry must be a digit list, got {digits!r}")
+    return PadicInt(p, tuple(digits))
+
+
+@dataclass(frozen=True)
+class VdpTable:
+    """Dense coefficient table over the grid [0, p^level)^arity.
+
+    Coefficients are stored row-major: the flat index of m is the integer
+    with base-p^level digits m_1 ... m_n, m_n least significant (at arity 1,
+    m itself). When alpha is set (an int at arity 1), `normalized` holds
+    a_m = A_m / p^shift, whose integrality witnesses the bound.
+    """
+
+    prime: int
+    level: int
+    coeffs: tuple[PadicInt, ...]
+    arity: int = 1
+    alpha: int | tuple[int, ...] | None = None
+    normalized: tuple[PadicInt, ...] | None = None
+
+    def __post_init__(self) -> None:
+        _check_count(self.prime, self.level * self.arity, len(self.coeffs),
+                     f"table at level {self.level} and arity {self.arity}")
+        if any(c.prime != self.prime for c in self.coeffs):
+            raise ValueError("coefficient prime does not match table prime")
+        if (self.alpha is None) != (self.normalized is None):
+            raise ValueError("alpha and normalized coefficients come together")
+        if self.alpha is not None:
+            weights = _tuple(self.alpha)
+            if len(weights) != self.arity or any(type(a) is not int for a in weights):
+                raise ValueError(f"weight must be {self.arity} integers, got {self.alpha!r}")
+            object.__setattr__(self, "alpha", _shape(weights))
+            if len(self.normalized or ()) != len(self.coeffs):
+                raise ValueError("normalized coefficient count mismatch")
+
+    @property
+    def side(self) -> int:
+        return self.prime**self.level
+
+    @property
+    def size(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def precision(self) -> int:
+        return min(c.precision for c in self.coeffs)
+
+    def flat_index(self, m: int | Sequence[int]) -> int:
+        m = _tuple(m)
+        if len(m) != self.arity:
+            raise ValueError(f"multi-index arity {len(m)}, table arity {self.arity}")
+        pos = 0
+        for v in m:
+            if not 0 <= v < self.side:
+                raise ValueError(f"index entry {v} outside [0, {self.side})")
+            pos = pos * self.side + v
+        return pos
+
+    def coefficient(self, m: int | Sequence[int]) -> PadicInt:
+        return self.coeffs[self.flat_index(m)]
+
+    def indices(self) -> Iterator[tuple[int, ...]]:
+        """Every multi-index of the grid, in storage order."""
+        return product(range(self.side), repeat=self.arity)
+
+    def sup_norm_ord(self) -> int | None:
+        """min_m ord(A_m), i.e. the sup norm as an exponent; None when all vanish.
+
+        Equals the minimal order of F over the level grid (the partial sums
+        telescope), so it reports the sup norm of the truncated function.
+        """
+        best = min(c.ord() for c in self.coeffs)
+        return None if best == math.inf else int(best)
+
+    def function(self) -> UniEvaluator | PointEvaluator:
+        """The table as an evaluator: on values at arity 1, on points otherwise."""
+        if self.arity == 1:
+            return lambda x: vdp_eval_uni(self, x)
+        return lambda x: vdp_eval_multi(self, x)
+
+    def to_json(self) -> dict:
+        """{p, K, N, B[, alpha, b]} with lists at arity 1, else {p, n, K, N, A[, alpha, a]}."""
+        keyed = self.arity > 1
+
+        def entries(values: tuple[PadicInt, ...]):
+            if keyed:
+                return {_key(m): list(c.digits) for m, c in zip(self.indices(), values)}
+            return [list(c.digits) for c in values]
+
+        out: dict = {"p": self.prime}
+        if keyed:
+            out["n"] = self.arity
+        out.update(K=self.level, N=self.precision)
+        out["A" if keyed else "B"] = entries(self.coeffs)
+        if self.alpha is not None:
+            out["alpha"] = _json(self.alpha)
+            out["a" if keyed else "b"] = entries(self.normalized or ())
+        return out
+
+    @classmethod
+    def from_json(cls, data: dict) -> VdpTable:
+        """Read either format (an "n" key selects the keyed one), checking sizes first."""
+        keyed = "n" in data
+        p, level, arity = data["p"], data["K"], data["n"] if keyed else 1
+        for name, value in (("p", p), ("K", level), ("n", arity)):
+            if type(value) is not int:
+                raise ValueError(f"table field {name} must be an integer, got {value!r}")
+        if p < 2 or level < 1 or arity < 1:
+            raise ValueError(f"table needs p >= 2, K >= 1, n >= 1; got {p}, {level}, {arity}")
+
+        def dense(name: str) -> tuple[PadicInt, ...]:
+            entries = data[name]
+            if not isinstance(entries, dict if keyed else list):
+                raise ValueError(f"table field {name} must be a {'mapping' if keyed else 'list'}")
+            _check_count(p, level * arity, len(entries), f"table field {name}")
+            if not is_prime(p):
+                raise ValueError(f"table prime {p} is not prime")
+            if keyed:
+                grid = product(range(p**level), repeat=arity)
+                entries = [entries.get(_key(m)) for m in grid]
+            return tuple(_entry(p, digits) for digits in entries)
+
+        alpha = data.get("alpha")
+        return cls(
+            prime=p,
+            level=level,
+            coeffs=dense("A" if keyed else "B"),
+            arity=arity,
+            alpha=alpha,
+            normalized=None if alpha is None else dense("a" if keyed else "b"),
+        )
+
+
+def vdp_coeff_multi_ie(
+    F: PointEvaluator, m: Sequence[int], prime: int, precision: int
+) -> PadicInt:
+    """Coefficient at m by the closed alternating sum over starred corners."""
+    idx = index_set(m, prime)
+    total = F(PadicPoint.from_integers(m, prime, precision))
+    for size in range(1, len(idx) + 1):
+        for subset in combinations(idx, size):
+            corner = list(m)
+            for i in subset:
+                corner[i - 1] = m_star(corner[i - 1], prime)
+            value = F(PadicPoint.from_integers(corner, prime, precision))
+            total = total + value if size % 2 == 0 else total - value
+    return total
+
+
+def vdp_coeff_uni(f: UniEvaluator, m: int, prime: int, precision: int) -> PadicInt:
+    """Single coefficient: f(m) - f(m*) for m >= p, plain f(m) below p."""
+    return vdp_coeff_multi_ie(as_point_evaluator(f), (m,), prime, precision)
+
+
+def vdp_expand_multi(
+    F: PointEvaluator, level: int, arity: int, prime: int, precision: int,
+    budget: int = DEFAULT_BUDGET,
+) -> VdpTable:
+    """All coefficients over [0, p^level)^arity, from p^(level * arity) evaluations.
+
+    The grid of values F(m) becomes the table in place, by one difference
+    pass per axis (Yates's algorithm): g(m) <- g(m) - g(m with m_i -> m_i*)
+    wherever m_i >= p. Each pass walks the grid in descending order, so the
+    entry it subtracts has not yet changed in that pass. The passes commute
+    and compose to the alternating sum over starred corners.
+    """
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    if arity < 1:
+        raise ValueError(f"arity must be >= 1, got {arity}")
+    if precision < level:
+        raise PrecisionExhaustedError(
+            f"expanding to level {level} needs precision >= {level}, got {precision}"
+        )
+    size = prime ** (level * arity)
+    if size > budget:
+        raise EnumerationBudgetError(f"expansion needs {size} evaluations, budget is {budget}")
+    side = prime**level
+    grid = [
+        F(PadicPoint.from_integers(m, prime, precision))
+        for m in product(range(side), repeat=arity)
+    ]
+    # how far stripping the top digit moves an entry; 0 where m_i < p
+    drop = [v - m_star(v, prime) if v >= prime else 0 for v in range(side)]
+    for axis in range(arity):
+        stride = side ** (arity - 1 - axis)
+        for pos in range(size - 1, -1, -1):
+            d = drop[pos // stride % side]
+            if d:
+                grid[pos] = grid[pos] - grid[pos - d * stride]
+    table = VdpTable(prime=prime, level=level, coeffs=tuple(grid), arity=arity)
+    if table.precision < level:
+        raise PrecisionExhaustedError(
+            f"expansion to level {level} kept only {table.precision} digits"
+        )
+    return table
+
+
+def vdp_expand_uni(
+    f: UniEvaluator, level: int, prime: int, precision: int, budget: int = DEFAULT_BUDGET
+) -> VdpTable:
+    """All p^level coefficients of a one-variable function."""
+    return vdp_expand_multi(as_point_evaluator(f), level, 1, prime, precision, budget)
+
+
+def vdp_eval_multi(table: VdpTable, x: PadicPoint) -> PadicInt:
+    """Partial sum at x: coefficients over all m with every m_i initial in x_i."""
+    if x.arity != table.arity:
+        raise ValueError(f"point arity {x.arity}, table arity {table.arity}")
+    if x.prime != table.prime:
+        raise ValueError("point prime does not match table prime")
+    per_coord = [initial_parts_below(c, table.level) for c in x.coords]
+    total: PadicInt | None = None
+    for m in product(*per_coord):
+        c = table.coefficient(m)
+        total = c if total is None else total + c
+    assert total is not None  # x always has at least the initial part x^(0)
+    return total
+
+
+def vdp_eval_uni(table: VdpTable, x: PadicInt) -> PadicInt:
+    """Partial sum of the series at x: sum of B_m over initial parts m < p^K."""
+    return vdp_eval_multi(table, PadicPoint((x,)))
+
+
+@dataclass(frozen=True)
+class LipschitzVerdict:
+    """Outcome of the coefficient-bound check at a fixed truncation level."""
+
+    holds: bool
+    alpha: int | tuple[int, ...]
+    level: int
+    violation: int | tuple[int, ...] | None
+
+    def to_json(self) -> dict:
+        return {key: _json(value) for key, value in vars(self).items()}
+
+
+def _required(m: Sequence[int], alpha: tuple[int, ...], p: int) -> int:
+    """Order A_m must reach under weight alpha; also its normalization shift.
+
+    An index with empty I(m) holds a plain value F(m), so its bound is
+    vacuous. Its shift is 0 for n >= 2; at n = 1 it is -alpha, the
+    univariate convention b_m = p^alpha B_m for m < p.
+    """
+    shifts = [floor_log_p(v, p) - a for v, a in zip(m, alpha) if v >= p]
+    if not shifts:
+        return -alpha[0] if len(m) == 1 else 0
+    return max(shifts)
+
+
+def weighted_lip_bound_check(table: VdpTable, alpha: Sequence[int]) -> LipschitzVerdict:
+    """Check ord(A_m) >= max over I(m) of (floor(log_p m_i) - alpha_i).
+
+    Returns the first violating index in storage order, if any. A violation
+    needs a nonzero digit strictly below the required order, so unseen
+    digits cannot witness one.
+    """
+    alpha = tuple(alpha)
+    if len(alpha) != table.arity:
+        raise ValueError(f"weight length {len(alpha)}, table arity {table.arity}")
+    if any(a < 0 for a in alpha):
+        raise ValueError("alpha entries must be >= 0")
+    for m, c in zip(table.indices(), table.coeffs):
+        required = _required(m, alpha, table.prime)
+        if required > 0 and any(c.digits[: min(required, c.precision)]):
+            return LipschitzVerdict(False, _shape(alpha), table.level, _shape(m))
+    return LipschitzVerdict(True, _shape(alpha), table.level, None)
+
+
+def lip_alpha_check_uni(table: VdpTable, alpha: int) -> LipschitzVerdict:
+    """Check ord(B_m) >= floor(log_p m) - alpha, equivalent to p^alpha-Lipschitz."""
+    return weighted_lip_bound_check(table, (alpha,))
+
+
+def _div_pow_p(c: PadicInt, shift: int) -> PadicInt:
+    """c / p^shift, exactly; a negative shift multiplies."""
+    return c.exact_div_p(shift) if shift >= 0 else c.mul_pow_p(-shift)
+
+
+def normalize_weighted(table: VdpTable, alpha: Sequence[int]) -> VdpTable:
+    """Attach unit-scale coefficients a_m with A_m = p^shift * a_m.
+
+    Requires the coefficient bound to hold; the shift down is then exact.
+    """
+    alpha = tuple(alpha)
+    verdict = weighted_lip_bound_check(table, alpha)
+    if not verdict.holds:
+        raise LipschitzBoundError(
+            f"coefficient bound violated at m={verdict.violation}, cannot normalize"
+        )
+    normalized = tuple(
+        _div_pow_p(c, _required(m, alpha, table.prime))
+        for m, c in zip(table.indices(), table.coeffs)
+    )
+    return replace(table, alpha=alpha, normalized=normalized)
+
+
+def normalize_alpha(table: VdpTable, alpha: int) -> VdpTable:
+    """Attach b_m = B_m / p^(bound_log(m) - alpha) to a one-variable table."""
+    return normalize_weighted(table, (alpha,))
+
+
+def denormalize_weighted(table: VdpTable) -> VdpTable:
+    """Recover the raw coefficients from the normalized ones."""
+    if table.alpha is None or table.normalized is None:
+        raise ValueError("table carries no normalized coefficients")
+    alpha = _tuple(table.alpha)
+    coeffs = tuple(
+        _div_pow_p(a, -_required(m, alpha, table.prime))
+        for m, a in zip(table.indices(), table.normalized)
+    )
+    return replace(table, coeffs=coeffs, alpha=None, normalized=None)
+
+
+denormalize_alpha = denormalize_weighted
+
+
+def projection(F: PointEvaluator, coord: int, fixed: Sequence[PadicInt]) -> UniEvaluator:
+    """Freeze all coordinates except `coord` (1-based) at the given values.
+
+    The result plugs into every univariate operation; if F satisfies the
+    weighted condition with weight alpha, each projection lies in the
+    univariate class for alpha_coord.
+    """
+    fixed = tuple(fixed)
+    arity = len(fixed) + 1
+    if not 1 <= coord <= arity:
+        raise ValueError(f"coordinate {coord} out of range for arity {arity}")
+
+    def call(z: PadicInt) -> PadicInt:
+        coords = fixed[: coord - 1] + (z,) + fixed[coord - 1 :]
+        return F(PadicPoint(coords))
+
+    return call
+
+
+@dataclass(frozen=True)
+class SampledLipschitzReport:
+    """Randomized pairwise Lipschitz evidence; any violation is conclusive.
+
+    The witness points in first_violation are integers at arity 1.
+    """
+
+    alpha: tuple[int, ...]
+    samples: int
+    violations: int
+    first_violation: tuple | None
+    seed: int
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
+
+    def to_json(self) -> dict:
+        return {**{key: _json(value) for key, value in vars(self).items()}, "ok": self.ok}
+
+
+def sampled_weighted_lip_check(
+    F: PointEvaluator, alpha: Sequence[int], samples: int, arity: int, prime: int,
+    precision: int, seed: int = 0,
+) -> SampledLipschitzReport:
+    """Randomized point pairs checked against the weighted inequality.
+
+    |F(x) - F(y)| must not exceed max_i p^(alpha_i) |x_i - y_i|, i.e. the
+    output difference must vanish to order min_i (ord(x_i - y_i) - alpha_i).
+    """
+    alpha = tuple(alpha)
+    if len(alpha) != arity:
+        raise ValueError(f"weight length {len(alpha)}, arity {arity}")
+    rng = random.Random(seed)
+    modulus = prime**precision
+    violations = 0
+    first: tuple | None = None
+    for _ in range(samples):
+        a = tuple(rng.randrange(modulus) for _ in range(arity))
+        b = tuple(rng.randrange(modulus) for _ in range(arity))
+        x = PadicPoint.from_integers(a, prime, precision)
+        y = PadicPoint.from_integers(b, prime, precision)
+        orders = [(xi - yi).ord() - ai for xi, yi, ai in zip(x.coords, y.coords, alpha)]
+        required = min(orders)
+        if required == math.inf:
+            continue
+        diff = F(x) - F(y)
+        if required > 0 and any(diff.digits[: min(required, diff.precision)]):
+            violations += 1
+            if first is None:
+                first = (_shape(a), _shape(b))
+    return SampledLipschitzReport(alpha, samples, violations, first, seed)
+
+
+def sampled_lip_check_uni(
+    f: UniEvaluator, alpha: int, samples: int, prime: int, precision: int, seed: int = 0
+) -> SampledLipschitzReport:
+    """Randomized pairs x, y checked against the p^alpha-Lipschitz inequality."""
+    F = as_point_evaluator(f)
+    return sampled_weighted_lip_check(F, (alpha,), samples, 1, prime, precision, seed)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 
+from padicvdp.core import PadicPoint, m_star
 from padicvdp.dsl import (
     Add,
     DigitSum,
@@ -140,3 +141,34 @@ def random_total_expr(rng: random.Random, arity: int, prime: int, depth: int = 3
         return leaf()
 
     return go(depth)
+
+
+def vdp_coeff_multi_rec(F, m, prime, precision, order=None):
+    """Coefficient at m by the nested difference recursion.
+
+    `order` lists the 1-based coordinates of I(m) = {i : m_i >= p} in the
+    order they are stripped; it must be a permutation of I(m). Independent
+    of the library's closed form and of its per-axis expansion passes; it
+    works on library values only because F is a library evaluator.
+    """
+    idx = tuple(i + 1 for i, v in enumerate(m) if v >= prime)
+    if order is None:
+        order = idx
+    if sorted(order) != sorted(idx):
+        raise ValueError(f"order {order!r} is not a permutation of I(m) = {idx!r}")
+    cache = {}
+
+    def ev(values):
+        if values not in cache:
+            cache[values] = F(PadicPoint.from_integers(values, prime, precision))
+        return cache[values]
+
+    def phi(values, coords):
+        if not coords:
+            return ev(values)
+        rest, last = coords[:-1], coords[-1]
+        starred = list(values)
+        starred[last - 1] = m_star(starred[last - 1], prime)
+        return phi(values, rest) - phi(tuple(starred), rest)
+
+    return phi(tuple(m), tuple(order))

@@ -28,20 +28,17 @@ from padicvdp.hensel import (
     hensel_lift_uni,
     roots_mod_uni,
 )
-from padicvdp.vdp_multi import (
+from padicvdp.vdp import (
+    VdpTable,
+    bound_log,
     index_set,
+    lip_alpha_check_uni,
     sampled_weighted_lip_check,
     vdp_coeff_multi_ie,
-    vdp_coeff_multi_rec,
-    vdp_expand_multi,
-    weighted_lip_bound_check,
-)
-from padicvdp.vdp_uni import (
-    VdpTable1,
-    bound_log,
-    lip_alpha_check_uni,
     vdp_eval_uni,
+    vdp_expand_multi,
     vdp_expand_uni,
+    weighted_lip_bound_check,
 )
 
 from support import (
@@ -51,6 +48,7 @@ from support import (
     random_total_expr,
     table_eval_int,
     val_mod,
+    vdp_coeff_multi_rec,
 )
 
 
@@ -179,7 +177,7 @@ def test_c06_lipschitz_criterion_biconditional():
                             required = max(0, bound_log(m, p) - alpha)
                             value = (value * p**required) % p**n
                         coeffs.append(from_integer(value, p, n))
-                    table = VdpTable1(prime=p, level=level, coeffs=tuple(coeffs))
+                    table = VdpTable(prime=p, level=level, coeffs=tuple(coeffs))
                     ints = [c.to_integer() for c in table.coeffs]
                     pairwise = True
                     for x in range(p**level):

@@ -1,7 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
+import pytest
+
+import padicvdp
 from padicvdp.cli import main
 
 from support import FERMAT_DIFF_TEXT, QUINTIC_TEXT
@@ -149,6 +155,63 @@ class TestLipschitz:
         assert "alpha" in err
 
 
+class TestTableValidation:
+    """Table JSON is checked before allocation: bad headers fail fast with exit 2."""
+
+    @staticmethod
+    def lipschitz_on(capsys, tmp_path, data):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data))
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "lipschitz", "--prime", "7", "--table", str(path),
+            "--alpha", "1", "--samples", "200",
+        )
+        assert time.monotonic() - started < 1.0
+        return code, out, err
+
+    @staticmethod
+    def stored_table(capsys, tmp_path, *extra):
+        out_file = tmp_path / "stored.json"
+        code, _ = run_json(
+            capsys, "expand", "--prime", "7", "--expr", FERMAT_DIFF_TEXT,
+            "--level", "1", "--precision", "8", "--output", str(out_file), *extra,
+        )
+        assert code == 0
+        return json.loads(out_file.read_text())
+
+    def assert_config_error(self, code, out, err):
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["category"] == "config"
+
+    def test_huge_level_in_list_format(self, capsys, tmp_path):
+        data = self.stored_table(capsys, tmp_path)
+        data["K"] = 1000000000
+        self.assert_config_error(*self.lipschitz_on(capsys, tmp_path, data))
+
+    def test_huge_level_in_keyed_format(self, capsys, tmp_path):
+        data = self.stored_table(capsys, tmp_path, "--vars", "2")
+        assert data["n"] == 2
+        data["K"] = 1000000000
+        self.assert_config_error(*self.lipschitz_on(capsys, tmp_path, data))
+
+    @pytest.mark.parametrize("level", [1e9, "3"])
+    def test_non_integer_level(self, capsys, tmp_path, level):
+        data = self.stored_table(capsys, tmp_path)
+        data["K"] = level
+        self.assert_config_error(*self.lipschitz_on(capsys, tmp_path, data))
+
+    def test_keyed_table_of_arity_one(self, capsys, tmp_path):
+        data = self.stored_table(capsys, tmp_path)
+        listed = self.lipschitz_on(capsys, tmp_path, data)
+        keyed = {key: data[key] for key in ("p", "K", "N")}
+        keyed["n"] = 1
+        keyed["A"] = {f"({m})": digits for m, digits in enumerate(data["B"])}
+        code, out, err = self.lipschitz_on(capsys, tmp_path, keyed)
+        assert code == 0 and err == ""
+        assert (code, out, err) == listed
+
+
 class TestRootsAndLift:
     def test_quintic_roots(self, capsys):
         code, payload = run_json(
@@ -289,10 +352,13 @@ class TestErrorsAndDeterminism:
 
 
 def test_module_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(padicvdp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "padicvdp", "roots", "--prime", "7",
          "--expr", QUINTIC_TEXT, "--level", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["residues"] == [5]

@@ -14,7 +14,7 @@ from padicvdp.hensel import (
     roots_mod_uni,
     well_defined_residue_check,
 )
-from padicvdp.vdp_uni import VdpTable1, vdp_coeff_uni
+from padicvdp.vdp import VdpTable, vdp_coeff_uni
 
 from support import QUINTIC_TEXT, quintic_int
 
@@ -72,7 +72,7 @@ class TestResidueCheck:
         # a unit coefficient at m = 4 makes f mod 3 depend on the second digit
         coeffs = [from_integer(0, 3, 4) for _ in range(9)]
         coeffs[4] = from_integer(1, 3, 4)
-        table = VdpTable1(prime=3, level=2, coeffs=tuple(coeffs))
+        table = VdpTable(prime=3, level=2, coeffs=tuple(coeffs))
         report = well_defined_residue_check(
             table.function(), 0, 1, 3, samples=300, seed=1, eval_precision=4
         )

@@ -5,23 +5,24 @@ import pytest
 
 from padicvdp.core import PadicPoint, from_integer, m_star
 from padicvdp.dsl import FuncDef, as_point_function, parse
-from padicvdp.vdp_multi import (
-    VdpTableN,
+from padicvdp.vdp import (
+    VdpTable,
     denormalize_weighted,
     e_multi,
     index_set,
+    lip_alpha_check_uni,
     normalize_weighted,
     projection,
     sampled_weighted_lip_check,
     vdp_coeff_multi_ie,
-    vdp_coeff_multi_rec,
+    vdp_coeff_uni,
     vdp_eval_multi,
     vdp_expand_multi,
+    vdp_expand_uni,
     weighted_lip_bound_check,
 )
-from padicvdp.vdp_uni import lip_alpha_check_uni, vdp_coeff_uni, vdp_expand_uni
 
-from support import random_total_expr, val_mod
+from support import random_total_expr, val_mod, vdp_coeff_multi_rec
 
 
 def dsl_fn(text, arity):
@@ -166,6 +167,16 @@ class TestExpandAndEval:
             assert table.coefficient(m).to_integer() == expected
             assert expected == (1 if m == (3, 1) else 0)
 
+    def test_arity_three_expansion_matches_recursion(self):
+        # p = 2, K = 2: every one of the 64 coefficients against nested differences
+        rng = random.Random(303)
+        for _ in range(4):
+            expr = random_total_expr(rng, 3, 2)
+            F = as_point_function(FuncDef(arity=3, body=expr))
+            table = vdp_expand_multi(F, 2, 3, 2, 6)
+            for m in table.indices():
+                assert table.coefficient(m) == vdp_coeff_multi_rec(F, m, 2, 6)
+
     def test_eval_needs_precision(self):
         table = vdp_expand_multi(dsl_fn("x1 + x2", 2), 2, 2, 3, 5)
         from padicvdp.core import PrecisionExhaustedError
@@ -185,17 +196,28 @@ class TestWeightedBound:
 
     def test_unit_coefficient_at_p_zero_violates(self):
         coeffs = [from_integer(0, 3, 4) for _ in range(81)]
-        table = VdpTableN(prime=3, arity=2, level=2, coeffs=tuple(coeffs))
+        table = VdpTable(prime=3, arity=2, level=2, coeffs=tuple(coeffs))
         coeffs[table.flat_index((3, 0))] = from_integer(1, 3, 4)
-        table = VdpTableN(prime=3, arity=2, level=2, coeffs=tuple(coeffs))
+        table = VdpTable(prime=3, arity=2, level=2, coeffs=tuple(coeffs))
         verdict = weighted_lip_bound_check(table, (0, 0))
         assert not verdict.holds and verdict.violation == (3, 0)
 
     def test_small_indices_never_violate(self):
         # entries with I(m) empty are plain values, bound is vacuous
         coeffs = [from_integer(1, 3, 4) for _ in range(9)]
-        table = VdpTableN(prime=3, arity=2, level=1, coeffs=tuple(coeffs))
+        table = VdpTable(prime=3, arity=2, level=1, coeffs=tuple(coeffs))
         assert weighted_lip_bound_check(table, (0, 0)).holds
+
+    def test_empty_index_set_is_not_shifted(self):
+        # at n >= 2 an index with every entry below p keeps its plain value,
+        # whatever the weight (at n = 1 it would be scaled up by p^alpha)
+        table = vdp_expand_multi(dsl_fn("x1 + 2 * x2 + 1", 2), 2, 2, 3, 5)
+        normalized = normalize_weighted(table, (1, 2))
+        for m in product(range(3), repeat=2):
+            assert normalized.normalized[table.flat_index(m)] == table.coefficient(m)
+        # (0, 3): I(m) = {2}, shift floor(log_3 3) - 2 = -1 multiplies by 3
+        a = normalized.normalized[table.flat_index((0, 3))]
+        assert a.to_integer() == 3 * table.coefficient((0, 3)).to_integer()
 
     def test_normalize_round_trip(self):
         F = dsl_fn("divp(x1 - x1^7, 1) + x2", 2)
@@ -292,11 +314,11 @@ class TestTableJson:
         data = table.to_json()
         assert data["p"] == 3 and data["n"] == 2 and data["K"] == 1
         assert "(0,0)" in data["A"] and "(2,2)" in data["A"]
-        assert VdpTableN.from_json(data) == table
+        assert VdpTable.from_json(data) == table
 
     def test_missing_entry_rejected(self):
         F = dsl_fn("x1 + x2", 2)
         data = vdp_expand_multi(F, 1, 2, 3, 5).to_json()
         del data["A"]["(0,0)"]
         with pytest.raises(ValueError):
-            VdpTableN.from_json(data)
+            VdpTable.from_json(data)

@@ -4,14 +4,15 @@ import pytest
 
 from padicvdp.core import PrecisionExhaustedError, from_integer
 from padicvdp.dsl import FuncDef, as_univariate, parse
-from padicvdp.vdp_uni import (
+from padicvdp.vdp import (
     LipschitzBoundError,
-    VdpTable1,
+    VdpTable,
     denormalize_alpha,
     e_m,
     initial_parts_below,
     lip_alpha_check_uni,
     normalize_alpha,
+    normalize_weighted,
     sampled_lip_check_uni,
     vdp_coeff_uni,
     vdp_eval_uni,
@@ -38,12 +39,12 @@ def random_table(rng, p, level, n, satisfying_alpha=None):
     for m in range(p**level):
         value = rng.randrange(p**n)
         if satisfying_alpha is not None:
-            from padicvdp.vdp_uni import bound_log
+            from padicvdp.vdp import bound_log
 
             required = max(0, bound_log(m, p) - satisfying_alpha)
             value = (value * p**required) % p**n
         coeffs.append(from_integer(value, p, n))
-    return VdpTable1(prime=p, level=level, coeffs=tuple(coeffs))
+    return VdpTable(prime=p, level=level, coeffs=tuple(coeffs))
 
 
 class TestIndicator:
@@ -112,6 +113,13 @@ class TestExpand:
         with pytest.raises(PrecisionExhaustedError):
             vdp_expand_uni(dsl_uni("x1"), 3, 7, 2)
 
+    def test_table_precision_below_level_is_refused(self):
+        # divp costs one digit: evaluating at 3 digits leaves a level-3 table 2 digits
+        f = dsl_uni(FERMAT_DIFF_TEXT)
+        with pytest.raises(PrecisionExhaustedError):
+            vdp_expand_uni(f, 3, 7, 3)
+        assert vdp_expand_uni(f, 3, 7, 4).precision == 3
+
 
 class TestEval:
     @pytest.mark.parametrize("p", [2, 3])
@@ -135,7 +143,7 @@ class TestEval:
     def test_constant_beyond_first_coefficient(self):
         coeffs = [from_integer(0, 3, 4) for _ in range(9)]
         coeffs[0] = from_integer(5, 3, 4)
-        table = VdpTable1(prime=3, level=2, coeffs=tuple(coeffs))
+        table = VdpTable(prime=3, level=2, coeffs=tuple(coeffs))
         for x in (0, 3, 9 + 3):
             assert vdp_eval_uni(table, from_integer(x, 3, 4)).to_integer() == (
                 5 if x % 3 == 0 else 0
@@ -164,7 +172,7 @@ class TestLipschitzCheck:
     def test_unit_coefficient_at_prime_violates(self):
         coeffs = [from_integer(0, 3, 4) for _ in range(9)]
         coeffs[3] = from_integer(1, 3, 4)
-        table = VdpTable1(prime=3, level=2, coeffs=tuple(coeffs))
+        table = VdpTable(prime=3, level=2, coeffs=tuple(coeffs))
         verdict = lip_alpha_check_uni(table, 0)
         assert not verdict.holds and verdict.violation == 3
 
@@ -200,6 +208,21 @@ class TestNormalization:
         for m in range(3):
             assert normalized.normalized[m] == table.coeffs[m]
 
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_below_prime_scales_up_by_alpha(self, alpha):
+        # the shift is bound_log(m) - alpha = -alpha, so b_m = p^alpha * B_m
+        table = vdp_expand_uni(dsl_uni(FERMAT_DIFF_TEXT), 2, 7, 8)
+        normalized = normalize_alpha(table, alpha)
+        for m in range(7):
+            b, c = normalized.normalized[m], table.coeffs[m]
+            assert b.precision == c.precision + alpha
+            assert b.to_integer() == 7**alpha * c.to_integer()
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_weighted_normalization_agrees_at_arity_one(self, alpha):
+        table = vdp_expand_uni(dsl_uni(QUINTIC_TEXT), 2, 7, 8)
+        assert normalize_weighted(table, (alpha,)) == normalize_alpha(table, alpha)
+
     def test_identity_coefficient_scales_to_unit(self):
         # B_10 = 9 and floor(log_3 10) = 2, so b_10 = 9 / 3^2 = 1
         table = vdp_expand_uni(dsl_uni("x1"), 3, 3, 6)
@@ -210,7 +233,7 @@ class TestNormalization:
         # at m = p with alpha = 1 the shift exponent is zero
         coeffs = [from_integer(0, 3, 5) for _ in range(9)]
         coeffs[3] = from_integer(3 * 2, 3, 5)
-        table = VdpTable1(prime=3, level=2, coeffs=tuple(coeffs))
+        table = VdpTable(prime=3, level=2, coeffs=tuple(coeffs))
         normalized = normalize_alpha(table, 1)
         assert normalized.normalized[3] == table.coeffs[3]
 
@@ -222,7 +245,7 @@ class TestNormalization:
     def test_violating_table_is_rejected(self):
         coeffs = [from_integer(0, 3, 4) for _ in range(9)]
         coeffs[3] = from_integer(1, 3, 4)
-        table = VdpTable1(prime=3, level=2, coeffs=tuple(coeffs))
+        table = VdpTable(prime=3, level=2, coeffs=tuple(coeffs))
         with pytest.raises(LipschitzBoundError):
             normalize_alpha(table, 0)
 
@@ -271,9 +294,30 @@ class TestTableJson:
         table = vdp_expand_uni(dsl_uni(QUINTIC_TEXT), 2, 7, 6)
         data = table.to_json()
         assert data["p"] == 7 and data["K"] == 2 and data["N"] == 6
-        assert VdpTable1.from_json(data) == table
+        assert VdpTable.from_json(data) == table
 
     def test_round_trip_with_normalization(self):
         table = normalize_alpha(vdp_expand_uni(dsl_uni("x1"), 2, 3, 6), 0)
-        again = VdpTable1.from_json(table.to_json())
+        again = VdpTable.from_json(table.to_json())
         assert again == table
+
+    def test_keyed_format_with_arity_one_is_read(self):
+        table = normalize_alpha(vdp_expand_uni(dsl_uni(QUINTIC_TEXT), 2, 7, 6), 1)
+        data = table.to_json()
+        keyed = {
+            "p": 7, "n": 1, "K": 2, "N": 6, "alpha": [1],
+            "A": {f"({m})": digits for m, digits in enumerate(data["B"])},
+            "a": {f"({m})": digits for m, digits in enumerate(data["b"])},
+        }
+        again = VdpTable.from_json(keyed)
+        assert again == table and again.alpha == 1
+        assert again.to_json() == data
+
+    @pytest.mark.parametrize(
+        "field,value", [("K", 10**9), ("K", 1e9), ("K", "2"), ("K", True), ("p", 4)]
+    )
+    def test_invalid_header_is_rejected(self, field, value):
+        data = vdp_expand_uni(dsl_uni("x1"), 2, 3, 4).to_json()
+        data[field] = value
+        with pytest.raises(ValueError):
+            VdpTable.from_json(data)
