@@ -40,7 +40,6 @@ from .hensel import (
     PreconditionError,
     brute_force_roots_multi,
     hensel_lift_multi,
-    hensel_lift_uni,
     well_defined_residue_check,
 )
 from .vdp import (
@@ -200,12 +199,12 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
 
     # success postcondition: reconstruction spot check on sampled grid points
     rng = random.Random(args.seed)
-    checked = min(10, p ** (level * arity))
+    checked = min(10, table.size)
     for _ in range(checked):
         m = tuple(rng.randrange(table.side) for _ in range(arity))
         point = PadicPoint.from_integers(m, p, work)
         got, want = vdp_eval_multi(table, point), F(point)
-        if got.digits[: table.precision] != want.digits[: table.precision]:
+        if not (got - want).divisible_by_p_power(table.precision):
             raise PadicError(f"internal: reconstruction mismatch at grid point {m}")
 
     result = {
@@ -333,17 +332,11 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
             f"--start has {len(args.start)} entries, function arity is {defn.arity}"
         )
     work = target + divp_budget(defn.body)
-    if defn.arity == 1:
-        trace = hensel_lift_uni(
-            as_univariate(defn), alpha[0], args.start[0], args.l0, target, p,
-            eval_precision=work,
-        )
-    else:
-        coordinate = None if args.auto_coordinate else (args.coordinate or 1)
-        trace = hensel_lift_multi(
-            as_point_function(defn), alpha, args.start, args.l0, target, p,
-            coordinate=coordinate, eval_precision=work,
-        )
+    coordinate = None if args.auto_coordinate else (args.coordinate or 1)
+    trace = hensel_lift_multi(
+        as_point_function(defn), alpha, args.start, args.l0, target, p,
+        coordinate=coordinate, eval_precision=work,
+    )
     result = trace.to_json()
     result["replay_verified"] = trace.lifted
     if trace.root is not None:

@@ -1,7 +1,8 @@
 """Fixed-precision arithmetic on p-adic integers and tuples of them.
 
-A value of Z_p is modeled by its first N base-p digits, i.e. by a residue
-mod p^N together with the count N of digits actually known. Operations
+A value of Z_p is stored as its residue mod p^N together with the count N
+of base-p digits actually known; the digits themselves are a derived view,
+and this is the only module that knows how they are laid out. Operations
 follow a "known digits" discipline: a result never claims more precision
 than its inputs justify, and exact division by p consumes precision.
 Norms and orders are exact (powers of p as Fractions, never floats).
@@ -33,6 +34,7 @@ __all__ = [
     "floor_log_p",
     "digit_length",
     "is_prime",
+    "power_within",
     "DEFAULT_BUDGET",
 ]
 
@@ -115,65 +117,86 @@ def m_star(m: int, p: int) -> int:
     return m % p ** floor_log_p(m, p)
 
 
-def _digits_of(value: int, p: int, count: int) -> tuple[int, ...]:
-    """First `count` base-p digits of a non-negative integer, low first."""
-    digits = []
-    for _ in range(count):
-        value, d = divmod(value, p)
-        digits.append(d)
-    return tuple(digits)
+def power_within(base: int, exponent: int, limit: int) -> int | None:
+    """base^exponent when it is at most limit, else None.
+
+    Never forms a power above limit, so a huge exponent costs no more than
+    log(limit) multiplications.
+    """
+    size = 1
+    for _ in range(exponent):
+        size *= base
+        if size > limit:
+            return None
+    return size
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PadicInt:
-    """A p-adic integer known through its first len(digits) digits.
+    """A p-adic integer known modulo p^precision.
 
-    digits[i] is the coefficient of p^i. Two values are equal only when
-    prime, precision, and every digit agree; a value known to 3 digits is
-    a different object of knowledge than one known to 4.
+    The stored form is the residue in [0, p^precision); `digits` is a view
+    of it, digits[i] being the coefficient of p^i. Two values are equal
+    only when prime, precision and residue agree; a value known to 3 digits
+    is a different object of knowledge than one known to 4.
     """
 
     prime: int
-    digits: tuple[int, ...]
+    precision: int
+    residue: int
 
-    def __post_init__(self) -> None:
-        _require_prime(self.prime)
-        if not isinstance(self.digits, tuple):
-            object.__setattr__(self, "digits", tuple(self.digits))
-        if len(self.digits) < 1:
+    def __init__(self, prime: int, digits) -> None:
+        """The value with the given base-p digits, low first; each is validated."""
+        _require_prime(prime)
+        digits = tuple(digits)
+        if len(digits) < 1:
             raise PrecisionExhaustedError("a value needs at least one digit")
-        for d in self.digits:
-            if not isinstance(d, int) or not 0 <= d < self.prime:
-                raise ValueError(f"digit {d!r} out of range for p={self.prime}")
+        residue = 0
+        for d in reversed(digits):
+            if not isinstance(d, int) or not 0 <= d < prime:
+                raise ValueError(f"digit {d!r} out of range for p={prime}")
+            residue = residue * prime + d
+        _set(self, prime, len(digits), residue)
 
     @property
-    def precision(self) -> int:
-        return len(self.digits)
+    def digits(self) -> tuple[int, ...]:
+        """The known base-p digits, low first."""
+        digits, value = [], self.residue
+        for _ in range(self.precision):
+            value, d = divmod(value, self.prime)
+            digits.append(d)
+        return tuple(digits)
+
+    def digit(self, i: int) -> int:
+        """The coefficient of p^i, for 0 <= i < precision."""
+        if not 0 <= i < self.precision:
+            raise PrecisionExhaustedError(
+                f"digit {i} outside known precision {self.precision}"
+            )
+        return self.residue // self.prime**i % self.prime
 
     def to_integer(self) -> int:
         """The standard representative in [0, p^N)."""
-        value = 0
-        for d in reversed(self.digits):
-            value = value * self.prime + d
-        return value
+        return self.residue
 
     def ord(self) -> int | float:
         """Index of the first nonzero digit; math.inf when all known digits vanish."""
-        for i, d in enumerate(self.digits):
-            if d:
-                return i
-        return math.inf
+        if self.residue == 0:
+            return math.inf
+        k, value = 0, self.residue
+        while value % self.prime == 0:
+            value //= self.prime
+            k += 1
+        return k
 
     def is_zero(self) -> bool:
         """True when every known digit is zero."""
-        return all(d == 0 for d in self.digits)
+        return self.residue == 0
 
     def norm(self) -> Fraction:
         """Exact p-adic absolute value p^(-ord); 0 when no digit is nonzero."""
         k = self.ord()
-        if k == math.inf:
-            return Fraction(0)
-        return Fraction(1, self.prime**k)
+        return Fraction(0) if k == math.inf else Fraction(1, self.prime**k)
 
     def standard_seq(self, k: int) -> int:
         """Partial sum x_0 + x_1 p + ... + x_k p^k as an exact integer."""
@@ -181,14 +204,11 @@ class PadicInt:
             raise PrecisionExhaustedError(
                 f"standard sequence index {k} outside known precision {self.precision}"
             )
-        value = 0
-        for d in reversed(self.digits[: k + 1]):
-            value = value * self.prime + d
-        return value
+        return self.residue % self.prime ** (k + 1)
 
     def divisible_by_p_power(self, e: int) -> bool:
-        """Whether the first e known digits are all zero."""
-        return all(d == 0 for d in self.digits[: min(e, self.precision)])
+        """Whether the first e known digits are all zero (all of them if e > N)."""
+        return e <= 0 or self.residue % self.prime ** min(e, self.precision) == 0
 
     def exact_div_p(self, e: int) -> PadicInt:
         """Divide by p^e exactly; shifts digits down and costs e digits of precision."""
@@ -196,16 +216,15 @@ class PadicInt:
             raise ValueError(f"exponent must be >= 0, got {e}")
         if e == 0:
             return self
-        for d in self.digits[: min(e, self.precision)]:
-            if d:
-                raise InexactDivisionError(
-                    f"value is not divisible by p^{e} (p={self.prime})"
-                )
+        if not self.divisible_by_p_power(e):
+            raise InexactDivisionError(
+                f"value is not divisible by p^{e} (p={self.prime})"
+            )
         if self.precision - e < 1:
             raise PrecisionExhaustedError(
                 f"dividing by p^{e} leaves no known digits (precision {self.precision})"
             )
-        return PadicInt(self.prime, self.digits[e:])
+        return _from_residue(self.residue // self.prime**e, self.prime, self.precision - e)
 
     def mul_pow_p(self, e: int) -> PadicInt:
         """Multiply by p^e; shifts digits up, gaining e digits of precision."""
@@ -213,7 +232,7 @@ class PadicInt:
             raise ValueError(f"exponent must be >= 0, got {e}")
         if e == 0:
             return self
-        return PadicInt(self.prime, (0,) * e + self.digits)
+        return _from_residue(self.residue * self.prime**e, self.prime, self.precision + e)
 
     def truncate(self, n: int) -> PadicInt:
         """Forget digits beyond the first n."""
@@ -221,7 +240,7 @@ class PadicInt:
             raise PrecisionExhaustedError(
                 f"cannot truncate precision {self.precision} to {n}"
             )
-        return PadicInt(self.prime, self.digits[:n])
+        return _from_residue(self.residue, self.prime, n)
 
     def _binop_precision(self, other: PadicInt) -> int:
         if not isinstance(other, PadicInt):
@@ -232,29 +251,25 @@ class PadicInt:
 
     def __add__(self, other: PadicInt) -> PadicInt:
         n = self._binop_precision(other)
-        return _from_residue(self.to_integer() + other.to_integer(), self.prime, n)
+        return _from_residue(self.residue + other.residue, self.prime, n)
 
     def __sub__(self, other: PadicInt) -> PadicInt:
         n = self._binop_precision(other)
-        return _from_residue(self.to_integer() - other.to_integer(), self.prime, n)
+        return _from_residue(self.residue - other.residue, self.prime, n)
 
     def __mul__(self, other: PadicInt) -> PadicInt:
         n = self._binop_precision(other)
-        return _from_residue(self.to_integer() * other.to_integer(), self.prime, n)
+        return _from_residue(self.residue * other.residue, self.prime, n)
 
     def __neg__(self) -> PadicInt:
-        return _from_residue(-self.to_integer(), self.prime, self.precision)
+        return _from_residue(-self.residue, self.prime, self.precision)
 
     def __str__(self) -> str:
         body = " ".join(str(d) for d in self.digits)
         return f"{body} | p={self.prime} N={self.precision}"
 
     def to_json(self) -> dict:
-        return {
-            "p": self.prime,
-            "precision": self.precision,
-            "digits": list(self.digits),
-        }
+        return {"p": self.prime, "precision": self.precision, "digits": list(self.digits)}
 
     @classmethod
     def from_json(cls, data: dict) -> PadicInt:
@@ -264,9 +279,17 @@ class PadicInt:
         return cls(data["p"], digits)
 
 
+def _set(x: PadicInt, p: int, precision: int, residue: int) -> None:
+    object.__setattr__(x, "prime", p)
+    object.__setattr__(x, "precision", precision)
+    object.__setattr__(x, "residue", residue)
+
+
 def _from_residue(value: int, p: int, precision: int) -> PadicInt:
-    """PadicInt for value mod p^precision."""
-    return PadicInt(p, _digits_of(value % p**precision, p, precision))
+    """PadicInt for value mod p^precision; p and precision are trusted."""
+    x = object.__new__(PadicInt)
+    _set(x, p, precision, value % p**precision)
+    return x
 
 
 def from_integer(k: int, p: int, precision: int) -> PadicInt:
@@ -276,7 +299,7 @@ def from_integer(k: int, p: int, precision: int) -> PadicInt:
         raise ValueError(f"from_integer needs k >= 0, got {k}; use from_rational")
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    return PadicInt(p, _digits_of(k, p, precision))
+    return _from_residue(k, p, precision)
 
 
 def from_rational(num: int, den: int, p: int, precision: int) -> PadicInt:
@@ -309,7 +332,7 @@ def initial_part(m: int, x: PadicInt) -> bool:
             f"deciding initial part of {m} needs {length} digits, "
             f"value has {x.precision}"
         )
-    return x.to_integer() % x.prime**length == m
+    return x.standard_seq(length - 1) == m
 
 
 @dataclass(frozen=True, slots=True)

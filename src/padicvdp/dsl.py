@@ -583,16 +583,8 @@ class WellDefinedReport:
         return self.failures == 0
 
     def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "precision": self.precision,
-            "arity": self.arity,
-            "samples": self.samples,
-            "failures": self.failures,
-            "first_failure": None if self.first_failure is None else list(self.first_failure),
-            "seed": self.seed,
-            "ok": self.ok,
-        }
+        first = None if self.first_failure is None else list(self.first_failure)
+        return {**vars(self), "first_failure": first, "ok": self.ok}
 
 
 def well_defined_check(

@@ -41,6 +41,7 @@ from .core import (
     PadicPoint,
     PrecisionExhaustedError,
     from_integer,
+    power_within,
 )
 from .vdp import PointEvaluator, UniEvaluator, as_point_evaluator, projection
 
@@ -87,14 +88,7 @@ class LiftLevel:
     condition_complete: bool
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "coordinate": self.coordinate,
-            "residual_digit": self.residual_digit,
-            "chosen_digit": self.chosen_digit,
-            "condition_values": list(self.condition_values),
-            "condition_complete": self.condition_complete,
-        }
+        return {**vars(self), "condition_values": list(self.condition_values)}
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def _known_zero_to(value: PadicInt, order: int, context: str) -> bool:
             f"{context}: deciding vanishing to order {order} needs {order} digits, "
             f"value has {value.precision}"
         )
-    return all(d == 0 for d in value.digits[:order])
+    return value.divisible_by_p_power(order)
 
 
 def _condition_values(
@@ -175,8 +169,8 @@ def _condition_values(
                 f"condition set at level {level} needs {level + 1} digits of the "
                 f"difference, got {d.precision}"
             )
-        if all(x == 0 for x in d.digits[:level]):
-            values.append(d.digits[level])
+        if d.divisible_by_p_power(level):
+            values.append(d.digit(level))
         else:
             values.append(None)  # difference not divisible by p^level
     return tuple(values)
@@ -253,10 +247,10 @@ def _lift(
                 f"lifting at level {level} needs {level + 1} digits of F, "
                 f"got {base.precision}"
             )
-        if any(base.digits[:level]):
+        if not base.divisible_by_p_power(level):
             # entry-level gap: F vanishes to the precondition order only
             return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, level)
-        t_bar = base.digits[level]
+        t_bar = base.digit(level)
 
         chosen: tuple[int, tuple[int | None, ...]] | None = None
         first_attempt: tuple[int, tuple[int | None, ...]] | None = None
@@ -288,8 +282,7 @@ def _lift(
     if not _known_zero_to(final, target_precision, "root replay"):
         # reachable only when the loop was empty yet the target exceeds
         # the verified start modulus
-        bad = next(i for i, d in enumerate(final.digits) if d)
-        return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, bad)
+        return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, final.ord())
     for k, (z, a) in enumerate(zip(start, alpha)):
         if current[k] % prime ** (l0 + a) != z % prime ** (l0 + a):
             raise PadicError("internal: lifted root lost the start congruence")
@@ -370,18 +363,8 @@ class ResidueCheckReport:
         return self.failures == 0
 
     def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "level": self.level,
-            "alpha": self.alpha,
-            "samples": self.samples,
-            "failures": self.failures,
-            "first_failure": None
-            if self.first_failure is None
-            else list(self.first_failure),
-            "seed": self.seed,
-            "ok": self.ok,
-        }
+        first = None if self.first_failure is None else list(self.first_failure)
+        return {**vars(self), "first_failure": first, "ok": self.ok}
 
 
 def well_defined_residue_check(
@@ -441,10 +424,9 @@ def brute_force_roots_multi(
         raise PreconditionError(
             f"level k must be >= 1 + max(alpha), got k={k}, alpha={alpha}"
         )
-    count = prime ** (k * arity)
-    if count > budget:
+    if power_within(prime, k * arity, budget) is None:
         raise EnumerationBudgetError(
-            f"enumerating {count} grid points exceeds budget {budget}"
+            f"enumerating {prime}^{k * arity} grid points exceeds budget {budget}"
         )
     W = eval_precision if eval_precision is not None else k
     if W < k:

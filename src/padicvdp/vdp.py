@@ -31,6 +31,7 @@ from .core import (
     initial_part,
     is_prime,
     m_star,
+    power_within,
 )
 
 __all__ = [
@@ -122,24 +123,16 @@ def initial_parts_below(x: PadicInt, level: int) -> list[int]:
             f"value has {x.precision}"
         )
     parts: list[int] = []
-    acc = 0
-    power = 1
     for k in range(level):
-        acc += x.digits[k] * power
-        power *= x.prime
+        acc = x.standard_seq(k)
         if not parts or parts[-1] != acc:
             parts.append(acc)
     return parts
 
 
 def _check_count(prime: int, exponent: int, count: int, what: str) -> None:
-    """Raise unless count == prime^exponent, never forming a power above count."""
-    size = 1
-    for _ in range(exponent):
-        size *= prime
-        if size > count:
-            break
-    if size != count:
+    """Raise unless count == prime^exponent."""
+    if power_within(prime, exponent, count) != count:
         raise ValueError(f"{what} needs {prime}^{exponent} coefficients, got {count}")
 
 
@@ -324,9 +317,11 @@ def vdp_expand_multi(
         raise PrecisionExhaustedError(
             f"expanding to level {level} needs precision >= {level}, got {precision}"
         )
-    size = prime ** (level * arity)
-    if size > budget:
-        raise EnumerationBudgetError(f"expansion needs {size} evaluations, budget is {budget}")
+    size = power_within(prime, level * arity, budget)
+    if size is None:
+        raise EnumerationBudgetError(
+            f"expansion needs {prime}^{level * arity} evaluations, budget is {budget}"
+        )
     side = prime**level
     grid = [
         F(PadicPoint.from_integers(m, prime, precision))
@@ -415,7 +410,7 @@ def weighted_lip_bound_check(table: VdpTable, alpha: Sequence[int]) -> Lipschitz
         raise ValueError("alpha entries must be >= 0")
     for m, c in zip(table.indices(), table.coeffs):
         required = _required(m, alpha, table.prime)
-        if required > 0 and any(c.digits[: min(required, c.precision)]):
+        if not c.divisible_by_p_power(required):
             return LipschitzVerdict(False, _shape(alpha), table.level, _shape(m))
     return LipschitzVerdict(True, _shape(alpha), table.level, None)
 
@@ -534,7 +529,7 @@ def sampled_weighted_lip_check(
         if required == math.inf:
             continue
         diff = F(x) - F(y)
-        if required > 0 and any(diff.digits[: min(required, diff.precision)]):
+        if not diff.divisible_by_p_power(required):
             violations += 1
             if first is None:
                 first = (_shape(a), _shape(b))

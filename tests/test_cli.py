@@ -268,6 +268,27 @@ class TestRootsAndLift:
         assert payload["result"]["status"] == "lifted"
         assert all(lv["coordinate"] == 2 for lv in payload["result"]["levels"])
 
+    def test_coordinate_out_of_range_for_one_variable(self, capsys):
+        code, out, err = run_cli(
+            capsys, "lift", "--prime", "7", "--expr", QUINTIC_TEXT,
+            "--start", "5", "--target-precision", "4", "--coordinate", "3",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "config"
+        assert "coordinate 3 out of range for arity 1" in error["message"]
+
+    def test_auto_coordinate_for_one_variable(self, capsys):
+        argv = ["lift", "--prime", "7", "--expr", QUINTIC_TEXT,
+                "--start", "5", "--target-precision", "4"]
+        code, auto = run_json(capsys, *argv, "--auto-coordinate")
+        assert code == 0
+        assert auto["result"]["auto_coordinate"] is True
+        assert all(lv["coordinate"] == 1 for lv in auto["result"]["levels"])
+        _, fixed = run_json(capsys, *argv)
+        assert fixed["result"]["auto_coordinate"] is False
+        assert auto["result"]["root"] == fixed["result"]["root"]
+
 
 class TestWellposed:
     def test_total_function_passes(self, capsys):
@@ -324,6 +345,19 @@ class TestErrorsAndDeterminism:
             "--level", "4", "--budget", "1000", "--precision", "8",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["roots", "expand"])
+    def test_huge_level_fails_on_budget_before_any_work(self, capsys, command):
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, command, "--prime", "7", "--expr", "x1",
+            "--level", "100000000", "--precision", "100000000",
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "config"
+        assert "budget" in error["message"]
 
     def test_byte_identical_output(self, capsys):
         argv = [

@@ -269,3 +269,88 @@ class TestRendering:
 
 def test_is_prime_small_values():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _model_value(p, data):
+    """A precision in 1..8, an integer below p^precision and its model digits."""
+    n = data.draw(st.integers(1, 8))
+    a = data.draw(st.integers(0, p**n - 1))
+    return n, a, int_digits(a, p, n)
+
+
+def _assert_model(x, p, value, n):
+    assert x.prime == p
+    assert x.precision == n
+    assert list(x.digits) == int_digits(value % p**n, p, n)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_operations_match_integer_model(p, data):
+    n, a, da = _model_value(p, data)
+    m, b, db = _model_value(p, data)
+    x, y = PadicInt(p, da), PadicInt(p, db)
+    assert x == from_integer(a, p, n) and hash(x) == hash(from_integer(a, p, n))
+    assert PadicInt.from_json(x.to_json()) == x
+
+    k = min(n, m)
+    _assert_model(x + y, p, a + b, k)
+    _assert_model(x - y, p, a - b, k)
+    _assert_model(x * y, p, a * b, k)
+    _assert_model(-x, p, -a, n)
+
+    first_nonzero = next((i for i, d in enumerate(da) if d), math.inf)
+    assert x.ord() == first_nonzero
+    assert x.is_zero() == (first_nonzero == math.inf)
+    for e in range(n + 3):
+        assert x.divisible_by_p_power(e) == all(d == 0 for d in da[:e])
+    for i in range(n):
+        assert x.digit(i) == da[i]
+        assert x.standard_seq(i) == sum(d * p**j for j, d in enumerate(da[: i + 1]))
+    for bad in (-1, n):
+        with pytest.raises(PrecisionExhaustedError):
+            x.digit(bad)
+        with pytest.raises(PrecisionExhaustedError):
+            x.standard_seq(bad)
+
+    for t in range(1, n + 1):
+        _assert_model(x.truncate(t), p, a, t)
+    for bad in (0, n + 1):
+        with pytest.raises(PrecisionExhaustedError):
+            x.truncate(bad)
+
+    for e in range(4):
+        _assert_model(x.mul_pow_p(e), p, a * p**e, n + e)
+
+    for e in range(n + 2):
+        if any(da[:e]):
+            with pytest.raises(InexactDivisionError):
+                x.exact_div_p(e)
+        elif e and n - e < 1:
+            with pytest.raises(PrecisionExhaustedError):
+                x.exact_div_p(e)
+        else:
+            _assert_model(x.exact_div_p(e), p, a // p**e, n - e)
+
+
+@pytest.mark.parametrize(
+    "p, digits, error",
+    [
+        (3, (0, 3), ValueError),
+        (3, (-1,), ValueError),
+        (5, (1.0,), ValueError),
+        (5, ("1",), ValueError),
+        (3, (), PrecisionExhaustedError),
+        (4, (1,), InvalidPrimeError),
+    ],
+)
+def test_digit_constructor_rejects_bad_input(p, digits, error):
+    with pytest.raises(error):
+        PadicInt(p, digits)
+
+
+def test_from_json_rejects_bad_digits():
+    with pytest.raises(ValueError):
+        PadicInt.from_json({"p": 3, "precision": 2, "digits": [1, 3]})
+    with pytest.raises(ValueError):
+        PadicInt.from_json({"p": 3, "precision": 3, "digits": [1, 2]})
