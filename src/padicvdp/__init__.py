@@ -41,7 +41,6 @@ from .hensel import (
     brute_force_roots_multi,
     hensel_lift_multi,
     hensel_lift_uni,
-    root_exists_via_projection,
     roots_mod_uni,
     well_defined_residue_check,
 )
@@ -56,8 +55,6 @@ from .vdp import (
     projection,
     sampled_lip_check_uni,
     sampled_weighted_lip_check,
-    vdp_coeff_multi_ie,
-    vdp_coeff_uni,
     vdp_eval_multi,
     vdp_eval_uni,
     vdp_expand_multi,

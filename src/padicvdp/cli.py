@@ -25,6 +25,7 @@ from .core import (
     PrecisionExhaustedError,
     from_integer,
     is_prime,
+    power_within,
 )
 from .dsl import (
     FuncDef,
@@ -172,14 +173,19 @@ def _resolve_alpha(flag, defn: FuncDef | None, arity: int, default_zero: bool):
 
 
 def _validate_common(args) -> None:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be >= 1, got {args.budget}")
+    # before is_prime, whose trial division a huge p would stall
+    if args.prime > args.budget:
+        raise EnumerationBudgetError(f"--prime {args.prime} exceeds budget {args.budget}")
     if not is_prime(args.prime):
         raise InvalidPrimeError(f"--prime must be prime, got {args.prime}")
     if args.precision < 1:
         raise ValueError(f"--precision must be >= 1, got {args.precision}")
     if args.vars < 1:
         raise ValueError(f"--vars must be >= 1, got {args.vars}")
-    if args.budget < 1:
-        raise ValueError(f"--budget must be >= 1, got {args.budget}")
+    if getattr(args, "samples", 0) > args.budget:
+        raise EnumerationBudgetError(f"--samples {args.samples} exceeds budget {args.budget}")
 
 
 def _sup_norm_fields(ord_exponent: int | None, p: int) -> dict:
@@ -243,30 +249,32 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
         table = VdpTable.from_json(json.loads(args.table.read_text()))
         if table.prime != p:
             raise ValueError(f"table prime {table.prime} does not match --prime {p}")
-        level = table.level
-        work = table.precision
+        level, arity, work = table.level, table.arity, table.precision
         F = lambda x: vdp_eval_multi(table, x)
     else:
         defn = _load_function(args)
-        level = args.level
+        level, arity = args.level, defn.arity
         if level < 1:
             raise ValueError(f"--level must be >= 1, got {level}")
         work = args.precision + divp_budget(defn.body)
         F = as_point_function(defn)
-        table = vdp_expand_multi(F, level, defn.arity, p, work, budget=args.budget)
-    arity = table.arity
+    fixings = arity * args.projection_samples if arity > 1 else 0
+    if fixings > 0 and power_within(p, level, args.budget // fixings) is None:
+        raise EnumerationBudgetError(
+            f"projection tier needs {fixings} x {p}^{level} evaluations, budget is {args.budget}"
+        )
+    if defn is not None:
+        table = vdp_expand_multi(F, level, arity, p, work, budget=args.budget)
     alpha = _resolve_alpha(args.alpha, defn, arity, default_zero=False)
 
     bound = weighted_lip_bound_check(table, alpha)
     tiers: dict = {"necessary-bound": bound.to_json()}
 
+    witness = None
     if arity == 1:
         tiers["projection-sampled"] = {"applicable": False}
-        proj_violated = False
     else:
         rng = random.Random(args.seed)
-        proj_violated = False
-        witness = None
         modulus = p**work
         for coord in range(1, arity + 1):
             for _ in range(args.projection_samples):
@@ -276,7 +284,6 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
                 sub_table = vdp_expand_uni(proj, level, p, work, budget=args.budget)
                 verdict = lip_alpha_check_uni(sub_table, alpha[coord - 1])
                 if not verdict.holds and witness is None:
-                    proj_violated = True
                     witness = {
                         "coordinate": coord,
                         "fixed": fixed_ints,
@@ -285,7 +292,7 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
         tiers["projection-sampled"] = {
             "applicable": True,
             "samples_per_coordinate": args.projection_samples,
-            "violated": proj_violated,
+            "violated": witness is not None,
             "witness": witness,
             "note": "fixed coordinates are sampled, not exhaustive",
         }
@@ -293,7 +300,7 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
     pair = sampled_weighted_lip_check(F, alpha, args.samples, arity, p, work, seed=args.seed)
     tiers["pair-sampled"] = pair.to_json()
 
-    violated = (not bound.holds) or proj_violated or (not pair.ok)
+    violated = (not bound.holds) or witness is not None or (not pair.ok)
     result = {
         "alpha": list(alpha),
         "tiers": tiers,

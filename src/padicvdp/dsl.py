@@ -248,11 +248,22 @@ def _poly_eval(coeffs: tuple[int, ...], x: int) -> int:
     return value
 
 
+MAX_DEPTH = 100  # parsing and evaluation recurse per level, far below Python's limit
+
+
+def _deeper(depth: int, tok: _Token) -> int:
+    """depth + 1, refused beyond MAX_DEPTH at the token that adds the level."""
+    if depth >= MAX_DEPTH:
+        raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+    return depth + 1
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], arity: int):
         self.tokens = tokens
         self.pos = 0
         self.arity = arity
+        self.nesting = 0  # factors of either grammar entered and not yet left
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -270,36 +281,43 @@ class _Parser:
         return self.next()
 
     def parse(self) -> FuncExpr:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
         return node
 
-    def expr(self) -> FuncExpr:
-        node = self.term()
+    def expr(self) -> tuple[FuncExpr, int]:
+        node, depth = self.term()
         while self.peek().kind == "sym" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            op = self.next()
+            rhs, rhs_depth = self.term()
+            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
+            depth = _deeper(max(depth, rhs_depth), op)
+        return node, depth
 
-    def term(self) -> FuncExpr:
-        node = self.factor()
+    def term(self) -> tuple[FuncExpr, int]:
+        node, depth = self.factor()
         while self.peek().kind == "sym" and self.peek().text == "*":
-            self.next()
-            node = Mul(node, self.factor())
-        return node
+            op = self.next()
+            rhs, rhs_depth = self.factor()
+            node, depth = Mul(node, rhs), _deeper(max(depth, rhs_depth), op)
+        return node, depth
 
-    def factor(self) -> FuncExpr:
-        if self.peek().kind == "sym" and self.peek().text == "-":
+    def factor(self) -> tuple[FuncExpr, int]:
+        tok = self.peek()
+        self.nesting = _deeper(self.nesting, tok)
+        if tok.kind == "sym" and tok.text == "-":
             self.next()
-            return _negate(self.factor())
-        node = self.base()
-        if self.peek().kind == "sym" and self.peek().text == "^":
-            self.next()
-            node = Pow(node, self.natural())
-        return node
+            node, depth = self.factor()
+            node, depth = _negate(node), _deeper(depth, tok)
+        else:
+            node, depth = self.base()
+            if self.peek().kind == "sym" and self.peek().text == "^":
+                op = self.next()
+                node, depth = Pow(node, self.natural()), _deeper(depth, op)
+        self.nesting -= 1
+        return node, depth
 
     def natural(self) -> int:
         tok = self.peek()
@@ -309,7 +327,7 @@ class _Parser:
         self.next()
         return int(tok.text)
 
-    def base(self) -> FuncExpr:
+    def base(self) -> tuple[FuncExpr, int]:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
@@ -329,24 +347,24 @@ class _Parser:
                 den = sign * int(den_tok.text)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.line, den_tok.col)
-                return RatConst(value, den)
-            return IntConst(value)
+                return RatConst(value, den), 1
+            return IntConst(value), 1
         if tok.kind == "sym" and tok.text == "(":
             self.next()
-            node = self.expr()
+            node, depth = self.expr()
             self.expect_sym(")")
-            return node
+            return node, depth
         if tok.kind == "name":
             if tok.text == "divp":
                 self.next()
                 self.expect_sym("(")
-                operand = self.expr()
+                operand, depth = self.expr()
                 self.expect_sym(",")
                 e = self.natural()
                 if e < 1:
                     raise ParseError("divp exponent must be >= 1", tok.line, tok.col)
                 self.expect_sym(")")
-                return DivP(operand, e)
+                return DivP(operand, e), _deeper(depth, tok)
             if tok.text == "digitsum":
                 self.next()
                 self.expect_sym("(")
@@ -358,8 +376,8 @@ class _Parser:
                 if e < 1:
                     raise ParseError("digitsum exponent must be >= 1", tok.line, tok.col)
                 self.expect_sym(")")
-                return DigitSum(var.index, coeffs, e)
-            return self.variable()
+                return DigitSum(var.index, coeffs, e), 1
+            return self.variable(), 1
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r}",
                          tok.line, tok.col)
 
@@ -398,17 +416,19 @@ class _Parser:
         return coeffs
 
     def ipoly_factor(self) -> tuple[int, ...]:
-        if self.peek().kind == "sym" and self.peek().text == "-":
+        tok = self.peek()
+        self.nesting = _deeper(self.nesting, tok)
+        if tok.kind == "sym" and tok.text == "-":
             self.next()
-            return _poly_mul((-1,), self.ipoly_factor())
-        coeffs = self.ipoly_base()
-        if self.peek().kind == "sym" and self.peek().text == "^":
-            self.next()
-            e = self.natural()
-            out: tuple[int, ...] = (1,)
-            for _ in range(e):
-                out = _poly_mul(out, coeffs)
-            return out
+            coeffs = _poly_mul((-1,), self.ipoly_factor())
+        else:
+            base = coeffs = self.ipoly_base()
+            if self.peek().kind == "sym" and self.peek().text == "^":
+                self.next()
+                coeffs = (1,)
+                for _ in range(self.natural()):
+                    coeffs = _poly_mul(coeffs, base)
+        self.nesting -= 1
         return coeffs
 
     def ipoly_base(self) -> tuple[int, ...]:

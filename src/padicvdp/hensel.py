@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -43,7 +43,7 @@ from .core import (
     from_integer,
     power_within,
 )
-from .vdp import PointEvaluator, UniEvaluator, as_point_evaluator, projection
+from .vdp import PointEvaluator, UniEvaluator, as_point_evaluator
 
 __all__ = [
     "PreconditionError",
@@ -58,8 +58,6 @@ __all__ = [
     "well_defined_residue_check",
     "ResidueCheckReport",
     "brute_force_roots_multi",
-    "root_exists_via_projection",
-    "ProjectionRootReport",
 ]
 
 STATUS_LIFTED = "lifted"
@@ -117,18 +115,10 @@ class LiftTrace:
 
     def to_json(self) -> dict:
         return {
-            "status": self.status,
-            "prime": self.prime,
-            "arity": self.arity,
-            "alpha": list(self.alpha),
-            "start": list(self.start),
-            "l0": self.l0,
+            **vars(self), "alpha": list(self.alpha), "start": list(self.start),
             "start_modulus_exponents": list(self.start_modulus_exponents),
-            "target_precision": self.target_precision,
             "levels": [lv.to_json() for lv in self.levels],
             "root": None if self.root is None else self.root.to_json(),
-            "failed_level": self.failed_level,
-            "auto_coordinate": self.auto_coordinate,
         }
 
 
@@ -390,7 +380,7 @@ def well_defined_residue_check(
         t = rng.randrange(1, prime ** (W - k))
         y = x + t * prime**k
         diff = f(from_integer(y, prime, W)) - f(from_integer(x, prime, W))
-        if not _known_zero_to(diff, min(k - alpha, diff.precision), "residue check"):
+        if not diff.divisible_by_p_power(k - alpha):
             failures += 1
             if first is None:
                 first = (x, y)
@@ -437,58 +427,3 @@ def brute_force_roots_multi(
         if _known_zero_to(_as_padic(F, values, prime, W), order, f"root test at {values}"):
             roots.append(values)
     return roots
-
-
-@dataclass(frozen=True)
-class ProjectionRootReport:
-    """Residue roots of one projection of F across levels.
-
-    The fixed coordinates are supplied explicitly and cover a single
-    choice only, so a nonempty answer at every level is evidence for
-    liftability, never a proof over all projections.
-    """
-
-    coordinate: int
-    alpha: int
-    fixed: tuple[int, ...]
-    roots_by_level: dict[int, list[int]]
-    seed_note: str = "fixed coordinates are a sampled choice, not exhaustive"
-
-    @property
-    def all_nonempty(self) -> bool:
-        return all(self.roots_by_level.values())
-
-    def to_json(self) -> dict:
-        return {
-            "coordinate": self.coordinate,
-            "alpha": self.alpha,
-            "fixed": list(self.fixed),
-            "roots_by_level": {str(k): v for k, v in self.roots_by_level.items()},
-            "all_nonempty": self.all_nonempty,
-            "note": self.seed_note,
-        }
-
-
-def root_exists_via_projection(
-    F: PointEvaluator,
-    coordinate: int,
-    fixed: Sequence[PadicInt],
-    k_values: Iterable[int],
-    alpha: int,
-    prime: int,
-    budget: int = DEFAULT_BUDGET,
-) -> ProjectionRootReport:
-    """Residue roots of the projection along `coordinate` with `fixed` frozen."""
-    proj = projection(F, coordinate, fixed)
-    eval_precision = fixed[0].precision if fixed else None
-    roots_by_level: dict[int, list[int]] = {}
-    for k in k_values:
-        roots_by_level[k] = roots_mod_uni(
-            proj, alpha, k, prime, eval_precision=eval_precision, budget=budget
-        )
-    return ProjectionRootReport(
-        coordinate=coordinate,
-        alpha=alpha,
-        fixed=tuple(c.to_integer() for c in fixed),
-        roots_by_level=roots_by_level,
-    )

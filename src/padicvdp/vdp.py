@@ -5,8 +5,9 @@ an initial part of x?) form an orthonormal basis of the continuous functions
 on Z_p^n. The coefficient of E_m is an alternating sum of F over the corners
 obtained by stripping top digits of the coordinates in I(m) = {i : m_i >= p};
 at n = 1 it is B_m = f(m) - f(m*) for m >= p and plain f(m) below p. The
-bound ord(A_m) >= max_{i in I(m)} (floor(log_p m_i) - alpha_i) is equivalent
-to p^alpha-Lipschitz at n = 1 and necessary only for n >= 2.
+bound ord(A_m) >= max_{i in I(m)} (floor(log_p m_i) - alpha_i) over a level-K
+table is equivalent to |F(x) - F(y)| <= max_i p^alpha_i |x_i - y_i| on the
+level-K grid, for every n; at n = 1 it is Anashin's p^alpha-Lipschitz criterion.
 
 Arity-1 results carry scalars where the general ones carry 1-tuples
 (weights, violating indices, sampled witness points, the JSON format); the
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -45,8 +46,6 @@ __all__ = [
     "e_multi",
     "initial_parts_below",
     "VdpTable",
-    "vdp_coeff_uni",
-    "vdp_coeff_multi_ie",
     "vdp_expand_uni",
     "vdp_expand_multi",
     "vdp_eval_uni",
@@ -122,12 +121,7 @@ def initial_parts_below(x: PadicInt, level: int) -> list[int]:
             f"listing initial parts below p^{level} needs {level} digits, "
             f"value has {x.precision}"
         )
-    parts: list[int] = []
-    for k in range(level):
-        acc = x.standard_seq(k)
-        if not parts or parts[-1] != acc:
-            parts.append(acc)
-    return parts
+    return sorted({x.standard_seq(k) for k in range(level)})
 
 
 def _check_count(prime: int, exponent: int, count: int, what: str) -> None:
@@ -276,27 +270,6 @@ class VdpTable:
         )
 
 
-def vdp_coeff_multi_ie(
-    F: PointEvaluator, m: Sequence[int], prime: int, precision: int
-) -> PadicInt:
-    """Coefficient at m by the closed alternating sum over starred corners."""
-    idx = index_set(m, prime)
-    total = F(PadicPoint.from_integers(m, prime, precision))
-    for size in range(1, len(idx) + 1):
-        for subset in combinations(idx, size):
-            corner = list(m)
-            for i in subset:
-                corner[i - 1] = m_star(corner[i - 1], prime)
-            value = F(PadicPoint.from_integers(corner, prime, precision))
-            total = total + value if size % 2 == 0 else total - value
-    return total
-
-
-def vdp_coeff_uni(f: UniEvaluator, m: int, prime: int, precision: int) -> PadicInt:
-    """Single coefficient: f(m) - f(m*) for m >= p, plain f(m) below p."""
-    return vdp_coeff_multi_ie(as_point_evaluator(f), (m,), prime, precision)
-
-
 def vdp_expand_multi(
     F: PointEvaluator, level: int, arity: int, prime: int, precision: int,
     budget: int = DEFAULT_BUDGET,
@@ -357,12 +330,8 @@ def vdp_eval_multi(table: VdpTable, x: PadicPoint) -> PadicInt:
     if x.prime != table.prime:
         raise ValueError("point prime does not match table prime")
     per_coord = [initial_parts_below(c, table.level) for c in x.coords]
-    total: PadicInt | None = None
-    for m in product(*per_coord):
-        c = table.coefficient(m)
-        total = c if total is None else total + c
-    assert total is not None  # x always has at least the initial part x^(0)
-    return total
+    first, *rest = (table.coefficient(m) for m in product(*per_coord))
+    return sum(rest, first)
 
 
 def vdp_eval_uni(table: VdpTable, x: PadicInt) -> PadicInt:
@@ -383,36 +352,61 @@ class LipschitzVerdict:
         return {key: _json(value) for key, value in vars(self).items()}
 
 
-def _required(m: Sequence[int], alpha: tuple[int, ...], p: int) -> int:
-    """Order A_m must reach under weight alpha; also its normalization shift.
+def _shifts(table: VdpTable, alpha: tuple[int, ...]) -> list[int]:
+    """Order each A_m must reach under weight alpha, in storage order; also its shift.
 
-    An index with empty I(m) holds a plain value F(m), so its bound is
-    vacuous. Its shift is 0 for n >= 2; at n = 1 it is -alpha, the
-    univariate convention b_m = p^alpha B_m for m < p.
+    That is the max over I(m) of bound_log(m_i) - alpha_i. With I(m) empty the
+    bound is vacuous and the shift is 0, or -alpha at n = 1 (b_m = p^alpha B_m).
     """
-    shifts = [floor_log_p(v, p) - a for v, a in zip(m, alpha) if v >= p]
-    if not shifts:
-        return -alpha[0] if len(m) == 1 else 0
-    return max(shifts)
+    if len(alpha) != table.arity:
+        raise ValueError(f"weight length {len(alpha)}, table arity {table.arity}")
+    if any(a < 0 for a in alpha):
+        raise ValueError("alpha entries must be >= 0")
+    p, K, vacuous = table.prime, table.level, -math.inf
+    orders = [vacuous]
+    for a in alpha:  # bound_log(v) = j for p^j <= v < p^(j+1)
+        axis = [vacuous] * p + [j - a for j in range(1, K) for _ in range(p**j * (p - 1))]
+        orders = [max(o, w) for o in orders for w in axis]
+    empty = -alpha[0] if table.arity == 1 else 0
+    return [empty if o == vacuous else o for o in orders]
+
+
+def _first_violation(table: VdpTable, shifts: list[int]) -> tuple[int, ...] | None:
+    """First index with a nonzero digit below its order; unseen digits are no witness.
+
+    Without one, a coefficient whose known digits all vanish short of its order
+    leaves the bound undecided.
+    """
+    starved = None
+    for m, c, e in zip(table.indices(), table.coeffs, shifts):
+        if not c.divisible_by_p_power(e):
+            return m
+        if e > c.precision and starved is None:
+            starved = f"deciding the bound at m={_shape(m)} needs {e} digits, known {c.precision}"
+    if starved:
+        raise PrecisionExhaustedError(starved)
+    return None
 
 
 def weighted_lip_bound_check(table: VdpTable, alpha: Sequence[int]) -> LipschitzVerdict:
     """Check ord(A_m) >= max over I(m) of (floor(log_p m_i) - alpha_i).
 
-    Returns the first violating index in storage order, if any. A violation
-    needs a nonzero digit strictly below the required order, so unseen
-    digits cannot witness one.
+    Returns the first violating index in storage order, if any, and raises
+    PrecisionExhaustedError when the known digits cannot decide the bound.
+    The bound holds exactly when |F(x) - F(y)| <= max_i p^alpha_i |x_i - y_i|
+    for all points x, y of the level grid, F being the table's partial sums.
+    Sufficient: F(x) - F(y) sums +-A_m over the m initial in one point only;
+    some m_i is then initial in one of x_i, y_i only, so floor(log_p m_i) >=
+    ord(x_i - y_i), and if that order is positive, i is in I(m) and the bound
+    gives ord(A_m) >= ord(x_i - y_i) - alpha_i. Necessary: for the i in I(m)
+    with the largest floor(log_p m_i) - alpha_i = s, A_m is an alternating sum
+    of F(c) - F(c with m_i -> m_i*) over grid points c; each such pair differs
+    in coordinate i alone, by order floor(log_p m_i), so has order >= s.
     """
     alpha = tuple(alpha)
-    if len(alpha) != table.arity:
-        raise ValueError(f"weight length {len(alpha)}, table arity {table.arity}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("alpha entries must be >= 0")
-    for m, c in zip(table.indices(), table.coeffs):
-        required = _required(m, alpha, table.prime)
-        if not c.divisible_by_p_power(required):
-            return LipschitzVerdict(False, _shape(alpha), table.level, _shape(m))
-    return LipschitzVerdict(True, _shape(alpha), table.level, None)
+    m = _first_violation(table, _shifts(table, alpha))
+    violation = None if m is None else _shape(m)
+    return LipschitzVerdict(m is None, _shape(alpha), table.level, violation)
 
 
 def lip_alpha_check_uni(table: VdpTable, alpha: int) -> LipschitzVerdict:
@@ -431,15 +425,11 @@ def normalize_weighted(table: VdpTable, alpha: Sequence[int]) -> VdpTable:
     Requires the coefficient bound to hold; the shift down is then exact.
     """
     alpha = tuple(alpha)
-    verdict = weighted_lip_bound_check(table, alpha)
-    if not verdict.holds:
-        raise LipschitzBoundError(
-            f"coefficient bound violated at m={verdict.violation}, cannot normalize"
-        )
-    normalized = tuple(
-        _div_pow_p(c, _required(m, alpha, table.prime))
-        for m, c in zip(table.indices(), table.coeffs)
-    )
+    shifts = _shifts(table, alpha)
+    m = _first_violation(table, shifts)
+    if m is not None:
+        raise LipschitzBoundError(f"coefficient bound violated at m={_shape(m)}, cannot normalize")
+    normalized = tuple(_div_pow_p(c, e) for c, e in zip(table.coeffs, shifts))
     return replace(table, alpha=alpha, normalized=normalized)
 
 
@@ -452,11 +442,8 @@ def denormalize_weighted(table: VdpTable) -> VdpTable:
     """Recover the raw coefficients from the normalized ones."""
     if table.alpha is None or table.normalized is None:
         raise ValueError("table carries no normalized coefficients")
-    alpha = _tuple(table.alpha)
-    coeffs = tuple(
-        _div_pow_p(a, -_required(m, alpha, table.prime))
-        for m, a in zip(table.indices(), table.normalized)
-    )
+    shifts = _shifts(table, _tuple(table.alpha))
+    coeffs = tuple(_div_pow_p(a, -e) for a, e in zip(table.normalized, shifts))
     return replace(table, coeffs=coeffs, alpha=None, normalized=None)
 
 

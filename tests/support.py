@@ -1,13 +1,18 @@
 """Shared test helpers: independent integer-model oracles and random functions.
 
 Oracles here deliberately avoid the library's digit machinery; they work in
-plain Python integers so that agreement is meaningful evidence.
+plain Python integers so that agreement is meaningful evidence. The
+coefficient and projection-root references at the end take a library
+evaluator F, so they use library values, but none of the code under test.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Iterable, Sequence
 
-from padicvdp.core import PadicPoint, m_star
+from padicvdp.core import DEFAULT_BUDGET, PadicInt, PadicPoint, m_star
 from padicvdp.dsl import (
     Add,
     DigitSum,
@@ -20,6 +25,14 @@ from padicvdp.dsl import (
     Sub,
     Var,
     parse,
+)
+from padicvdp.hensel import roots_mod_uni
+from padicvdp.vdp import (
+    PointEvaluator,
+    UniEvaluator,
+    as_point_evaluator,
+    index_set,
+    projection,
 )
 
 QUINTIC_TEXT = "-5 + digitsum(x1, 4 + 7*i^3, 5)"  # digit map with root 5 at p=7
@@ -80,6 +93,34 @@ def initial_parts_int(x: int, p: int, level: int) -> list[int]:
 def table_eval_int(coeffs: list[int], p: int, level: int, x: int) -> int:
     """Partial sum of a coefficient table at an integer point."""
     return sum(coeffs[m] for m in initial_parts_int(x, p, level))
+
+
+def pairwise_lipschitz_int(coeffs: list[int], p: int, level: int, alpha) -> bool:
+    """All-pairs check of |F(x) - F(y)| <= max_i p^alpha_i |x_i - y_i| on the level grid.
+
+    F is the partial sum of a row-major coefficient list (the last coordinate
+    varies fastest) and every value is a plain integer, so the answer is
+    independent of the library's bound check.
+    """
+    side = p**level
+    grid = list(product(range(side), repeat=len(alpha)))
+
+    def value(x) -> int:
+        total = 0
+        for m in product(*(initial_parts_int(v, p, level) for v in x)):
+            pos = 0
+            for v in m:
+                pos = pos * side + v
+            total += coeffs[pos]
+        return total
+
+    values = {x: value(x) for x in grid}
+    for x, y in combinations(grid, 2):
+        # ord(x_i - y_i) < level for distinct grid values; equal ones impose nothing
+        order = min(val_mod(a - b, p, level) - w for a, b, w in zip(x, y, alpha) if a != b)
+        if order > 0 and (values[x] - values[y]) % p**order:
+            return False
+    return True
 
 
 def eval_int_model(expr, values: tuple[int, ...], p: int, n: int) -> int:
@@ -172,3 +213,79 @@ def vdp_coeff_multi_rec(F, m, prime, precision, order=None):
         return phi(values, rest) - phi(tuple(starred), rest)
 
     return phi(tuple(m), tuple(order))
+
+
+def vdp_coeff_multi_ie(
+    F: PointEvaluator, m: Sequence[int], prime: int, precision: int
+) -> PadicInt:
+    """Coefficient at m by the closed alternating sum over starred corners."""
+    idx = index_set(m, prime)
+    total = F(PadicPoint.from_integers(m, prime, precision))
+    for size in range(1, len(idx) + 1):
+        for subset in combinations(idx, size):
+            corner = list(m)
+            for i in subset:
+                corner[i - 1] = m_star(corner[i - 1], prime)
+            value = F(PadicPoint.from_integers(corner, prime, precision))
+            total = total + value if size % 2 == 0 else total - value
+    return total
+
+
+def vdp_coeff_uni(f: UniEvaluator, m: int, prime: int, precision: int) -> PadicInt:
+    """Single coefficient: f(m) - f(m*) for m >= p, plain f(m) below p."""
+    return vdp_coeff_multi_ie(as_point_evaluator(f), (m,), prime, precision)
+
+
+@dataclass(frozen=True)
+class ProjectionRootReport:
+    """Residue roots of one projection of F across levels.
+
+    The fixed coordinates are supplied explicitly and cover a single
+    choice only, so a nonempty answer at every level is evidence for
+    liftability, never a proof over all projections.
+    """
+
+    coordinate: int
+    alpha: int
+    fixed: tuple[int, ...]
+    roots_by_level: dict[int, list[int]]
+    seed_note: str = "fixed coordinates are a sampled choice, not exhaustive"
+
+    @property
+    def all_nonempty(self) -> bool:
+        return all(self.roots_by_level.values())
+
+    def to_json(self) -> dict:
+        return {
+            "coordinate": self.coordinate,
+            "alpha": self.alpha,
+            "fixed": list(self.fixed),
+            "roots_by_level": {str(k): v for k, v in self.roots_by_level.items()},
+            "all_nonempty": self.all_nonempty,
+            "note": self.seed_note,
+        }
+
+
+def root_exists_via_projection(
+    F: PointEvaluator,
+    coordinate: int,
+    fixed: Sequence[PadicInt],
+    k_values: Iterable[int],
+    alpha: int,
+    prime: int,
+    budget: int = DEFAULT_BUDGET,
+) -> ProjectionRootReport:
+    """Residue roots of the projection along `coordinate` with `fixed` frozen."""
+    proj = projection(F, coordinate, fixed)
+    eval_precision = fixed[0].precision if fixed else None
+    roots_by_level: dict[int, list[int]] = {}
+    for k in k_values:
+        roots_by_level[k] = roots_mod_uni(
+            proj, alpha, k, prime, eval_precision=eval_precision, budget=budget
+        )
+    return ProjectionRootReport(
+        coordinate=coordinate,
+        alpha=alpha,
+        fixed=tuple(c.to_integer() for c in fixed),
+        roots_by_level=roots_by_level,
+    )

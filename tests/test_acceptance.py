@@ -34,7 +34,6 @@ from padicvdp.vdp import (
     index_set,
     lip_alpha_check_uni,
     sampled_weighted_lip_check,
-    vdp_coeff_multi_ie,
     vdp_eval_uni,
     vdp_expand_multi,
     vdp_expand_uni,
@@ -48,6 +47,7 @@ from support import (
     random_total_expr,
     table_eval_int,
     val_mod,
+    vdp_coeff_multi_ie,
     vdp_coeff_multi_rec,
 )
 

@@ -359,6 +359,44 @@ class TestErrorsAndDeterminism:
         assert error["category"] == "config"
         assert "budget" in error["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["lipschitz", "--prime", "7", "--expr", "x1", "--alpha", "0",
+         "--samples", "100000000"],
+        ["wellposed", "--prime", "7", "--expr", "x1", "--samples", "100000000"],
+        ["lipschitz", "--prime", "7", "--vars", "2", "--expr", "x1 + x2", "--alpha", "0,0",
+         "--projection-samples", "100000000"],
+        ["eval", "--prime", "1000000000000000003", "--expr", "x1", "--point", "1"],
+    ])
+    def test_counts_fail_on_budget_before_any_work(self, capsys, argv):
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "config"
+        assert "budget" in error["message"]
+
+    @pytest.mark.parametrize("expr", ["(" * 300 + "x1" + ")" * 300, "+".join(["x1"] * 1000)])
+    def test_too_deep_expression_is_a_parse_error(self, capsys, expr):
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, "eval", "--prime", "7", "--expr", expr, "--point", "1")
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "parse-error"
+        assert "line 1, column" in error["message"]
+
+    def test_starved_table_is_undecided_in_the_bound_tier(self, capsys, tmp_path):
+        path = tmp_path / "starved.json"
+        path.write_text(json.dumps({"p": 7, "K": 3, "N": 1, "B": [[0]] * 343}))
+        code, out, err = run_cli(
+            capsys, "lipschitz", "--prime", "7", "--table", str(path), "--alpha", "0",
+        )
+        assert code == 4 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "precision"
+        assert "bound at m=49" in error["message"]
+
     def test_byte_identical_output(self, capsys):
         argv = [
             "lipschitz", "--prime", "7", "--expr", FERMAT_DIFF_TEXT,

@@ -9,6 +9,7 @@ from padicvdp.core import (
     from_integer,
 )
 from padicvdp.dsl import (
+    MAX_DEPTH,
     Add,
     DigitSum,
     DivP,
@@ -36,6 +37,22 @@ def ev1(text, x_int, p, n):
 
 
 class TestParser:
+    @pytest.mark.parametrize("text, column", [
+        ("(" * 300 + "x1" + ")" * 300, MAX_DEPTH + 1),
+        ("+".join(["x1"] * 1000), 3 * MAX_DEPTH),
+        ("-" * 300 + "x1", MAX_DEPTH + 1),
+        ("digitsum(x1, " + "(" * 300 + "i" + ")" * 300 + ", 1)", 14 + MAX_DEPTH - 1),
+    ])
+    def test_too_deep_is_a_parse_error(self, text, column):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}") as info:
+            parse(text, 1)
+        assert (info.value.line, info.value.col) == (1, column)
+
+    def test_just_under_the_depth_limit_evaluates(self):
+        assert ev1("+".join(["x1"] * MAX_DEPTH), 3, 7, 4).to_integer() == 3 * MAX_DEPTH
+        nested = "(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1)
+        assert ev1(nested, 3, 7, 4).to_integer() == 3
+
     def test_sum_of_variables(self):
         assert parse("x1 + x2", 2) == Add(Var(1), Var(2))
 

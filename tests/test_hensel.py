@@ -10,13 +10,12 @@ from padicvdp.hensel import (
     brute_force_roots_multi,
     hensel_lift_multi,
     hensel_lift_uni,
-    root_exists_via_projection,
     roots_mod_uni,
     well_defined_residue_check,
 )
-from padicvdp.vdp import VdpTable, vdp_coeff_uni
+from padicvdp.vdp import VdpTable
 
-from support import QUINTIC_TEXT, quintic_int
+from support import QUINTIC_TEXT, quintic_int, root_exists_via_projection, vdp_coeff_uni
 
 
 def uni(text):

@@ -2,6 +2,8 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicvdp.core import PadicPoint, from_integer, m_star
 from padicvdp.dsl import FuncDef, as_point_function, parse
@@ -14,15 +16,20 @@ from padicvdp.vdp import (
     normalize_weighted,
     projection,
     sampled_weighted_lip_check,
-    vdp_coeff_multi_ie,
-    vdp_coeff_uni,
     vdp_eval_multi,
     vdp_expand_multi,
     vdp_expand_uni,
     weighted_lip_bound_check,
 )
 
-from support import random_total_expr, val_mod, vdp_coeff_multi_rec
+from support import (
+    pairwise_lipschitz_int,
+    random_total_expr,
+    val_mod,
+    vdp_coeff_multi_ie,
+    vdp_coeff_multi_rec,
+    vdp_coeff_uni,
+)
 
 
 def dsl_fn(text, arity):
@@ -322,3 +329,44 @@ class TestTableJson:
         del data["A"]["(0,0)"]
         with pytest.raises(ValueError):
             VdpTable.from_json(data)
+
+
+# (arity, p, level) with at most 81 grid points, so that all pairs stay cheap
+GRID_SHAPES = [(n, p, k) for n in (1, 2, 3) for p in (2, 3) for k in (1, 2) if p ** (k * n) <= 81]
+
+
+def _floor_log(v, p):
+    k = 0
+    while v >= p ** (k + 1):
+        k += 1
+    return k
+
+
+@st.composite
+def grid_tables(draw):
+    """A table built to meet the bound for a weight, optionally with one unit planted."""
+    arity, p, level = draw(st.sampled_from(GRID_SHAPES))
+    alpha = tuple(draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=arity, max_size=arity)))
+    modulus = p ** (level + 1)
+    coeffs, bounded = [], []
+    for pos, m in enumerate(product(range(p**level), repeat=arity)):
+        need = max([_floor_log(v, p) - a for v, a in zip(m, alpha) if v >= p], default=0)
+        coeffs.append(draw(st.integers(0, modulus - 1)) * p ** max(need, 0) % modulus)
+        if need > 0:
+            bounded.append(pos)
+    if bounded and draw(st.booleans()):
+        # a unit has order 0, below the positive order required there
+        coeffs[draw(st.sampled_from(bounded))] = draw(st.integers(1, p - 1))
+    return arity, p, level, alpha, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_tables())
+def test_bound_is_exact_on_the_grid(case):
+    # the coefficient bound holds exactly when every pair of grid points
+    # satisfies the weighted inequality (see weighted_lip_bound_check)
+    arity, p, level, alpha, coeffs = case
+    values = tuple(from_integer(c, p, level + 1) for c in coeffs)
+    table = VdpTable(prime=p, level=level, coeffs=values, arity=arity)
+    expected = pairwise_lipschitz_int(coeffs, p, level, alpha)
+    assert weighted_lip_bound_check(table, alpha).holds == expected

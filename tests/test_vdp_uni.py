@@ -14,7 +14,6 @@ from padicvdp.vdp import (
     normalize_alpha,
     normalize_weighted,
     sampled_lip_check_uni,
-    vdp_coeff_uni,
     vdp_eval_uni,
     vdp_expand_uni,
 )
@@ -26,6 +25,7 @@ from support import (
     random_total_expr,
     table_eval_int,
     val_mod,
+    vdp_coeff_uni,
 )
 
 
@@ -199,6 +199,21 @@ class TestLipschitzCheck:
                     if required > 0 and val_mod(diff, p, n) < required:
                         pairwise_ok = False
             assert lip_alpha_check_uni(table, alpha).holds == pairwise_ok
+
+    def test_starved_table_is_undecided(self):
+        # every m >= 49 needs two digits; the table knows one, and it is zero
+        table = VdpTable.from_json({"p": 7, "K": 3, "N": 1, "B": [[0]] * 343})
+        with pytest.raises(PrecisionExhaustedError, match=r"m=49 needs 2 digits, known 1"):
+            lip_alpha_check_uni(table, 0)
+        with pytest.raises(PrecisionExhaustedError, match=r"m=49"):
+            normalize_alpha(table, 0)
+
+    def test_violation_after_a_starved_index_is_conclusive(self):
+        entries = [[0]] * 343
+        entries[100] = [1]  # the known digit is already below the order 2 needed
+        table = VdpTable.from_json({"p": 7, "K": 3, "N": 1, "B": entries})
+        verdict = lip_alpha_check_uni(table, 0)
+        assert not verdict.holds and verdict.violation == 100
 
 
 class TestNormalization:
