@@ -26,6 +26,8 @@ from .core import (
     from_integer,
     is_prime,
     power_within,
+    vanishes_to,
+    weight,
 )
 from .dsl import (
     FuncDef,
@@ -165,11 +167,7 @@ def _resolve_alpha(flag, defn: FuncDef | None, arity: int, default_zero: bool):
         alpha = (0,) * arity
     else:
         raise ValueError("no weight given: pass --alpha or declare it in the function file")
-    if len(alpha) != arity:
-        raise ValueError(f"alpha has {len(alpha)} entries for arity {arity}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("alpha entries must be >= 0")
-    return alpha
+    return weight(alpha, arity)
 
 
 def _validate_common(args) -> None:
@@ -206,11 +204,12 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
     # success postcondition: reconstruction spot check on sampled grid points
     rng = random.Random(args.seed)
     checked = min(10, table.size)
+    describe = "the reconstruction at grid point {}".format
     for _ in range(checked):
         m = tuple(rng.randrange(table.side) for _ in range(arity))
         point = PadicPoint.from_integers(m, p, work)
         got, want = vdp_eval_multi(table, point), F(point)
-        if not (got - want).divisible_by_p_power(table.precision):
+        if not vanishes_to(got - want, table.precision, describe, m):
             raise PadicError(f"internal: reconstruction mismatch at grid point {m}")
 
     result = {
@@ -258,6 +257,7 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
             raise ValueError(f"--level must be >= 1, got {level}")
         work = args.precision + divp_budget(defn.body)
         F = as_point_function(defn)
+    alpha = _resolve_alpha(args.alpha, defn, arity, default_zero=False)
     fixings = arity * args.projection_samples if arity > 1 else 0
     if fixings > 0 and power_within(p, level, args.budget // fixings) is None:
         raise EnumerationBudgetError(
@@ -265,15 +265,15 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
         )
     if defn is not None:
         table = vdp_expand_multi(F, level, arity, p, work, budget=args.budget)
-    alpha = _resolve_alpha(args.alpha, defn, arity, default_zero=False)
 
-    bound = weighted_lip_bound_check(table, alpha)
-    tiers: dict = {"necessary-bound": bound.to_json()}
+    def bound_tier() -> tuple[dict, bool]:
+        bound = weighted_lip_bound_check(table, alpha)
+        return bound.to_json(), not bound.holds
 
-    witness = None
-    if arity == 1:
-        tiers["projection-sampled"] = {"applicable": False}
-    else:
+    def projection_tier() -> tuple[dict, bool]:
+        if arity == 1:
+            return {"applicable": False}, False
+        witness = None
         rng = random.Random(args.seed)
         modulus = p**work
         for coord in range(1, arity + 1):
@@ -289,18 +289,31 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
                         "fixed": fixed_ints,
                         "violation": verdict.violation,
                     }
-        tiers["projection-sampled"] = {
+        return {
             "applicable": True,
             "samples_per_coordinate": args.projection_samples,
             "violated": witness is not None,
             "witness": witness,
             "note": "fixed coordinates are sampled, not exhaustive",
-        }
+        }, witness is not None
 
-    pair = sampled_weighted_lip_check(F, alpha, args.samples, arity, p, work, seed=args.seed)
-    tiers["pair-sampled"] = pair.to_json()
+    def pair_tier() -> tuple[dict, bool]:
+        pair = sampled_weighted_lip_check(F, alpha, args.samples, arity, p, work, seed=args.seed)
+        return pair.to_json(), not pair.ok
 
-    violated = (not bound.holds) or witness is not None or (not pair.ok)
+    # a violation in any tier is conclusive and wins over tiers left undecided
+    tiers: dict = {}
+    violated, undecided = False, None
+    for name, tier in (("necessary-bound", bound_tier), ("projection-sampled", projection_tier),
+                       ("pair-sampled", pair_tier)):
+        try:
+            tiers[name], failed = tier()
+        except PrecisionExhaustedError as exc:
+            tiers[name], failed = {"undecided": str(exc)}, False
+            undecided = undecided or exc
+        violated = violated or failed
+    if undecided is not None and not violated:
+        raise undecided
     result = {
         "alpha": list(alpha),
         "tiers": tiers,
@@ -358,6 +371,10 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
 def _cmd_wellposed(args) -> tuple[dict, dict, int]:
     defn = _load_function(args)
     p = args.prime
+    if args.residue_level is not None:
+        if defn.arity != 1:
+            raise ValueError("--residue-level applies to one-variable functions")
+        (alpha,) = _resolve_alpha(args.alpha, defn, 1, default_zero=True)
     work = args.precision + divp_budget(defn.body)
     report = well_defined_check(
         defn.body, defn.arity, p, work, args.samples, seed=args.seed
@@ -365,11 +382,8 @@ def _cmd_wellposed(args) -> tuple[dict, dict, int]:
     result: dict = {"totality": report.to_json()}
     failed = not report.ok
     if args.residue_level is not None:
-        if defn.arity != 1:
-            raise ValueError("--residue-level applies to one-variable functions")
-        alpha = _resolve_alpha(args.alpha, defn, 1, default_zero=True)
         residue = well_defined_residue_check(
-            as_univariate(defn), alpha[0], args.residue_level, p,
+            as_univariate(defn), alpha, args.residue_level, p,
             samples=args.samples, seed=args.seed,
             eval_precision=args.residue_level + 2 + divp_budget(defn.body),
         )

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterable
 
 __all__ = [
     "PadicError",
@@ -35,6 +36,9 @@ __all__ = [
     "digit_length",
     "is_prime",
     "power_within",
+    "weight",
+    "vanishes_to",
+    "vanishing_scan",
     "DEFAULT_BUDGET",
 ]
 
@@ -129,6 +133,14 @@ def power_within(base: int, exponent: int, limit: int) -> int | None:
         if size > limit:
             return None
     return size
+
+
+def weight(alpha, arity: int) -> tuple[int, ...]:
+    """alpha as `arity` non-negative ints; a bare int is a weight of arity 1."""
+    weights = tuple(alpha) if isinstance(alpha, (tuple, list)) else (alpha,)
+    if len(weights) != arity or any(type(a) is not int or a < 0 for a in weights):
+        raise ValueError(f"weight must be {arity} non-negative int(s), got {alpha!r}")
+    return weights
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -333,6 +345,47 @@ def initial_part(m: int, x: PadicInt) -> bool:
             f"value has {x.precision}"
         )
     return x.standard_seq(length - 1) == m
+
+
+def _vanishing(value: PadicInt, order: int) -> bool | None:
+    """Whether value vanishes to order; None when its known digits cannot tell.
+
+    A nonzero known digit below the order is conclusive; known digits that
+    all vanish but stop short of the order decide nothing.
+    """
+    if not value.divisible_by_p_power(order):
+        return False
+    return True if order <= value.precision else None
+
+
+def vanishes_to(value: PadicInt, order: int, describe: Callable, site) -> bool:
+    """Whether value vanishes to order; if undecided, raises naming describe(site)."""
+    verdict = _vanishing(value, order)
+    if verdict is None:
+        raise PrecisionExhaustedError(
+            f"{describe(site)} needs {order} digits, known {value.precision}"
+        )
+    return verdict
+
+
+def vanishing_scan(checks: Iterable[tuple], describe: Callable) -> tuple[int, object]:
+    """Count the (site, value, order) checks whose value does not vanish; also the first.
+
+    A failure is conclusive, so it wins over any site the known digits cannot
+    decide; with no failure, the first such site raises as in `vanishes_to`.
+    """
+    failures, first, short = 0, None, None
+    for site, value, order in checks:
+        verdict = _vanishing(value, order)
+        if verdict is False:
+            if not failures:
+                first = site
+            failures += 1
+        elif verdict is None and short is None:
+            short = (value, order, site)
+    if short is not None and not failures:
+        vanishes_to(short[0], short[1], describe, short[2])  # undecided, so it raises
+    return failures, first
 
 
 @dataclass(frozen=True, slots=True)

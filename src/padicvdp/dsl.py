@@ -32,6 +32,7 @@ from .core import (
     PadicPoint,
     _from_residue,
     from_rational,
+    weight,
 )
 
 __all__ = [
@@ -141,12 +142,7 @@ class FuncDef:
         if self.arity < 1:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if self.alpha is not None:
-            if len(self.alpha) != self.arity:
-                raise ValueError(
-                    f"alpha has {len(self.alpha)} entries for arity {self.arity}"
-                )
-            if any(a < 0 for a in self.alpha):
-                raise ValueError("alpha entries must be >= 0")
+            weight(self.alpha, self.arity)
 
     def to_json(self) -> dict:
         if self.source is None:

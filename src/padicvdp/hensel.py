@@ -39,9 +39,11 @@ from .core import (
     PadicError,
     PadicInt,
     PadicPoint,
-    PrecisionExhaustedError,
     from_integer,
     power_within,
+    vanishes_to,
+    vanishing_scan,
+    weight,
 )
 from .vdp import PointEvaluator, UniEvaluator, as_point_evaluator
 
@@ -63,6 +65,10 @@ __all__ = [
 STATUS_LIFTED = "lifted"
 STATUS_CONDITION_FAILED = "condition-failed"
 STATUS_RESIDUAL_NONLIFTABLE = "residual-nonliftable"
+
+# how an undecided check at a lifting level is named, formatted only on error
+_LEVEL_SITE = "F at lifting level {}".format
+_CONDITION_SITE = "the condition set at level {}".format
 
 
 class PreconditionError(PadicError):
@@ -128,16 +134,6 @@ def _as_padic(
     return F(PadicPoint.from_integers(values, prime, precision))
 
 
-def _known_zero_to(value: PadicInt, order: int, context: str) -> bool:
-    """Whether the first `order` digits vanish; errors if too few are known."""
-    if value.precision < order:
-        raise PrecisionExhaustedError(
-            f"{context}: deciding vanishing to order {order} needs {order} digits, "
-            f"value has {value.precision}"
-        )
-    return value.divisible_by_p_power(order)
-
-
 def _condition_values(
     F: PointEvaluator,
     current: Sequence[int],
@@ -154,15 +150,7 @@ def _condition_values(
         shifted = list(current)
         shifted[coord - 1] += r * step
         d = _as_padic(F, shifted, prime, eval_precision) - base_value
-        if d.precision < level + 1:
-            raise PrecisionExhaustedError(
-                f"condition set at level {level} needs {level + 1} digits of the "
-                f"difference, got {d.precision}"
-            )
-        if d.divisible_by_p_power(level):
-            values.append(d.digit(level))
-        else:
-            values.append(None)  # difference not divisible by p^level
+        values.append(d.digit(level) if vanishes_to(d, level, _CONDITION_SITE, level) else None)
     return tuple(values)
 
 
@@ -172,24 +160,28 @@ def _condition_complete(values: tuple[int | None, ...], prime: int) -> bool:
     return sorted(values) == list(range(1, prime))  # type: ignore[type-var]
 
 
-def _lift(
+def hensel_lift_multi(
     F: PointEvaluator,
-    alpha: tuple[int, ...],
-    start: tuple[int, ...],
+    alpha: Sequence[int],
+    start: Sequence[int],
     l0: int,
     target_precision: int,
     prime: int,
-    coordinate: int | None,
-    eval_precision: int | None,
+    coordinate: int | None = None,
+    eval_precision: int | None = None,
 ) -> LiftTrace:
+    """Lift a residue root of F: Z_p^n -> Z_p along one coordinate per level.
+
+    Requires 0 <= start_k < p^(l0 + alpha_k) for every k and
+    F(start) = 0 mod p^(l0 + min(alpha)). Levels run from l0 + max(alpha);
+    with `coordinate` fixed the condition set is checked there, with
+    coordinate=None each level searches j = 1 .. n for a qualifying one
+    and records the choice.
+    """
+    start = tuple(start)
     arity = len(start)
+    alpha = weight(alpha, arity)
     auto = coordinate is None
-    if len(alpha) != arity:
-        raise PreconditionError(
-            f"weight length {len(alpha)} does not match start arity {arity}"
-        )
-    if any(a < 0 for a in alpha):
-        raise PreconditionError("alpha entries must be >= 0")
     if l0 < 1:
         raise PreconditionError(f"l0 must be a positive integer, got {l0}")
     if target_precision < 1:
@@ -208,7 +200,7 @@ def _lift(
         )
 
     start_check = _as_padic(F, start, prime, W)
-    if not _known_zero_to(start_check, l0 + min(alpha), "start residue"):
+    if not vanishes_to(start_check, l0 + min(alpha), "F at start {}".format, start):
         raise PreconditionError(
             f"F(start) is not 0 mod p^{l0 + min(alpha)}; start={list(start)}"
         )
@@ -219,7 +211,7 @@ def _lift(
             prime=prime,
             arity=arity,
             alpha=alpha,
-            start=tuple(start),
+            start=start,
             l0=l0,
             target_precision=target_precision,
             levels=tuple(levels),
@@ -232,12 +224,7 @@ def _lift(
     levels: list[LiftLevel] = []
     for level in range(l0 + max(alpha), target_precision):
         base = _as_padic(F, current, prime, W)
-        if base.precision < level + 1:
-            raise PrecisionExhaustedError(
-                f"lifting at level {level} needs {level + 1} digits of F, "
-                f"got {base.precision}"
-            )
-        if not base.divisible_by_p_power(level):
+        if not vanishes_to(base, level, _LEVEL_SITE, level):
             # entry-level gap: F vanishes to the precondition order only
             return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, level)
         t_bar = base.digit(level)
@@ -269,7 +256,7 @@ def _lift(
 
     root = PadicPoint.from_integers(current, prime, target_precision)
     final = _as_padic(F, current, prime, W)
-    if not _known_zero_to(final, target_precision, "root replay"):
+    if not vanishes_to(final, target_precision, "F at the lifted root {}".format, current):
         # reachable only when the loop was empty yet the target exceeds
         # the verified start modulus
         return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, final.ord())
@@ -294,30 +281,9 @@ def hensel_lift_uni(
     The returned trace is replay-verified: status "lifted" means the root
     satisfies f = 0 mod p^target_precision and is congruent to start.
     """
-    F = as_point_evaluator(f)
-    return _lift(F, (alpha,), (start,), l0, target_precision, prime, 1, eval_precision)
-
-
-def hensel_lift_multi(
-    F: PointEvaluator,
-    alpha: Sequence[int],
-    start: Sequence[int],
-    l0: int,
-    target_precision: int,
-    prime: int,
-    coordinate: int | None = None,
-    eval_precision: int | None = None,
-) -> LiftTrace:
-    """Lift a residue root of F: Z_p^n -> Z_p along one coordinate per level.
-
-    Requires 0 <= start_k < p^(l0 + alpha_k) for every k and
-    F(start) = 0 mod p^(l0 + min(alpha)). Levels run from l0 + max(alpha);
-    with `coordinate` fixed the condition set is checked there, with
-    coordinate=None each level searches j = 1 .. n for a qualifying one
-    and records the choice.
-    """
-    return _lift(
-        F, tuple(alpha), tuple(start), l0, target_precision, prime, coordinate, eval_precision
+    return hensel_lift_multi(
+        as_point_evaluator(f), (alpha,), (start,), l0, target_precision, prime,
+        coordinate=1, eval_precision=eval_precision,
     )
 
 
@@ -367,23 +333,22 @@ def well_defined_residue_check(
     eval_precision: int | None = None,
 ) -> ResidueCheckReport:
     """Sampled lifts of residues: f(x + t p^k) must agree with f(x) mod p^(k - alpha)."""
+    (alpha,) = weight(alpha, 1)
     if k < 1 + alpha:
         raise PreconditionError(f"level k must be >= 1 + alpha, got k={k}, alpha={alpha}")
     W = eval_precision if eval_precision is not None else k + 2
     if W <= k:
         raise PreconditionError(f"evaluation precision {W} leaves no room above level {k}")
     rng = random.Random(seed)
-    failures = 0
-    first: tuple[int, int] | None = None
-    for _ in range(samples):
-        x = rng.randrange(prime**k)
-        t = rng.randrange(1, prime ** (W - k))
-        y = x + t * prime**k
-        diff = f(from_integer(y, prime, W)) - f(from_integer(x, prime, W))
-        if not diff.divisible_by_p_power(k - alpha):
-            failures += 1
-            if first is None:
-                first = (x, y)
+
+    def lifts():
+        for _ in range(samples):
+            x = rng.randrange(prime**k)
+            t = rng.randrange(1, prime ** (W - k))
+            y = x + t * prime**k
+            yield (x, y), f(from_integer(y, prime, W)) - f(from_integer(x, prime, W)), k - alpha
+
+    failures, first = vanishing_scan(lifts(), "deciding the residues of the pair {}".format)
     return ResidueCheckReport(
         prime=prime,
         level=k,
@@ -405,11 +370,7 @@ def brute_force_roots_multi(
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
     """All points x in [0, p^k)^n with F(x) = 0 mod p^(k - max(alpha))."""
-    alpha = tuple(alpha)
-    if len(alpha) != arity:
-        raise PreconditionError(f"weight length {len(alpha)}, arity {arity}")
-    if any(a < 0 for a in alpha):
-        raise PreconditionError("alpha entries must be >= 0")
+    alpha = weight(alpha, arity)
     if k < 1 + max(alpha):
         raise PreconditionError(
             f"level k must be >= 1 + max(alpha), got k={k}, alpha={alpha}"
@@ -422,8 +383,8 @@ def brute_force_roots_multi(
     if W < k:
         raise PreconditionError(f"evaluation precision {W} below level {k}")
     order = k - max(alpha)
-    roots = []
-    for values in product(range(prime**k), repeat=arity):
-        if _known_zero_to(_as_padic(F, values, prime, W), order, f"root test at {values}"):
-            roots.append(values)
-    return roots
+    describe = "the root test at {}".format
+    return [
+        values for values in product(range(prime**k), repeat=arity)
+        if vanishes_to(_as_padic(F, values, prime, W), order, describe, values)
+    ]

@@ -33,6 +33,8 @@ from .core import (
     is_prime,
     m_star,
     power_within,
+    vanishing_scan,
+    weight,
 )
 
 __all__ = [
@@ -74,11 +76,6 @@ class LipschitzBoundError(PadicError):
 def as_point_evaluator(f: UniEvaluator) -> PointEvaluator:
     """A one-variable evaluator as an evaluator on points of arity 1."""
     return lambda x: f(x.coords[0])
-
-
-def _tuple(value) -> tuple:
-    """General form of a weight or index: a scalar becomes a 1-tuple."""
-    return tuple(value) if isinstance(value, (tuple, list)) else (value,)
 
 
 def _shape(values: tuple[int, ...]) -> int | tuple[int, ...]:
@@ -165,10 +162,7 @@ class VdpTable:
         if (self.alpha is None) != (self.normalized is None):
             raise ValueError("alpha and normalized coefficients come together")
         if self.alpha is not None:
-            weights = _tuple(self.alpha)
-            if len(weights) != self.arity or any(type(a) is not int for a in weights):
-                raise ValueError(f"weight must be {self.arity} integers, got {self.alpha!r}")
-            object.__setattr__(self, "alpha", _shape(weights))
+            object.__setattr__(self, "alpha", _shape(weight(self.alpha, self.arity)))
             if len(self.normalized or ()) != len(self.coeffs):
                 raise ValueError("normalized coefficient count mismatch")
 
@@ -185,7 +179,7 @@ class VdpTable:
         return min(c.precision for c in self.coeffs)
 
     def flat_index(self, m: int | Sequence[int]) -> int:
-        m = _tuple(m)
+        m = tuple(m) if isinstance(m, (tuple, list)) else (m,)
         if len(m) != self.arity:
             raise ValueError(f"multi-index arity {len(m)}, table arity {self.arity}")
         pos = 0
@@ -352,16 +346,13 @@ class LipschitzVerdict:
         return {key: _json(value) for key, value in vars(self).items()}
 
 
-def _shifts(table: VdpTable, alpha: tuple[int, ...]) -> list[int]:
+def _shifts(table: VdpTable, alpha: int | Sequence[int]) -> list[int]:
     """Order each A_m must reach under weight alpha, in storage order; also its shift.
 
     That is the max over I(m) of bound_log(m_i) - alpha_i. With I(m) empty the
     bound is vacuous and the shift is 0, or -alpha at n = 1 (b_m = p^alpha B_m).
     """
-    if len(alpha) != table.arity:
-        raise ValueError(f"weight length {len(alpha)}, table arity {table.arity}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("alpha entries must be >= 0")
+    alpha = weight(alpha, table.arity)
     p, K, vacuous = table.prime, table.level, -math.inf
     orders = [vacuous]
     for a in alpha:  # bound_log(v) = j for p^j <= v < p^(j+1)
@@ -372,20 +363,9 @@ def _shifts(table: VdpTable, alpha: tuple[int, ...]) -> list[int]:
 
 
 def _first_violation(table: VdpTable, shifts: list[int]) -> tuple[int, ...] | None:
-    """First index with a nonzero digit below its order; unseen digits are no witness.
-
-    Without one, a coefficient whose known digits all vanish short of its order
-    leaves the bound undecided.
-    """
-    starved = None
-    for m, c, e in zip(table.indices(), table.coeffs, shifts):
-        if not c.divisible_by_p_power(e):
-            return m
-        if e > c.precision and starved is None:
-            starved = f"deciding the bound at m={_shape(m)} needs {e} digits, known {c.precision}"
-    if starved:
-        raise PrecisionExhaustedError(starved)
-    return None
+    """First index whose coefficient does not vanish to its order, by the strict scan."""
+    checks = zip(table.indices(), table.coeffs, shifts)
+    return vanishing_scan(checks, lambda m: f"deciding the bound at m={_shape(m)}")[1]
 
 
 def weighted_lip_bound_check(table: VdpTable, alpha: Sequence[int]) -> LipschitzVerdict:
@@ -403,10 +383,9 @@ def weighted_lip_bound_check(table: VdpTable, alpha: Sequence[int]) -> Lipschitz
     of F(c) - F(c with m_i -> m_i*) over grid points c; each such pair differs
     in coordinate i alone, by order floor(log_p m_i), so has order >= s.
     """
-    alpha = tuple(alpha)
     m = _first_violation(table, _shifts(table, alpha))
     violation = None if m is None else _shape(m)
-    return LipschitzVerdict(m is None, _shape(alpha), table.level, violation)
+    return LipschitzVerdict(m is None, _shape(weight(alpha, table.arity)), table.level, violation)
 
 
 def lip_alpha_check_uni(table: VdpTable, alpha: int) -> LipschitzVerdict:
@@ -424,7 +403,6 @@ def normalize_weighted(table: VdpTable, alpha: Sequence[int]) -> VdpTable:
 
     Requires the coefficient bound to hold; the shift down is then exact.
     """
-    alpha = tuple(alpha)
     shifts = _shifts(table, alpha)
     m = _first_violation(table, shifts)
     if m is not None:
@@ -442,7 +420,7 @@ def denormalize_weighted(table: VdpTable) -> VdpTable:
     """Recover the raw coefficients from the normalized ones."""
     if table.alpha is None or table.normalized is None:
         raise ValueError("table carries no normalized coefficients")
-    shifts = _shifts(table, _tuple(table.alpha))
+    shifts = _shifts(table, table.alpha)
     coeffs = tuple(_div_pow_p(a, -e) for a, e in zip(table.normalized, shifts))
     return replace(table, coeffs=coeffs, alpha=None, normalized=None)
 
@@ -499,27 +477,21 @@ def sampled_weighted_lip_check(
     |F(x) - F(y)| must not exceed max_i p^(alpha_i) |x_i - y_i|, i.e. the
     output difference must vanish to order min_i (ord(x_i - y_i) - alpha_i).
     """
-    alpha = tuple(alpha)
-    if len(alpha) != arity:
-        raise ValueError(f"weight length {len(alpha)}, arity {arity}")
+    alpha = weight(alpha, arity)
     rng = random.Random(seed)
     modulus = prime**precision
-    violations = 0
-    first: tuple | None = None
-    for _ in range(samples):
-        a = tuple(rng.randrange(modulus) for _ in range(arity))
-        b = tuple(rng.randrange(modulus) for _ in range(arity))
-        x = PadicPoint.from_integers(a, prime, precision)
-        y = PadicPoint.from_integers(b, prime, precision)
-        orders = [(xi - yi).ord() - ai for xi, yi, ai in zip(x.coords, y.coords, alpha)]
-        required = min(orders)
-        if required == math.inf:
-            continue
-        diff = F(x) - F(y)
-        if not diff.divisible_by_p_power(required):
-            violations += 1
-            if first is None:
-                first = (_shape(a), _shape(b))
+
+    def pairs():
+        for _ in range(samples):
+            a = tuple(rng.randrange(modulus) for _ in range(arity))
+            b = tuple(rng.randrange(modulus) for _ in range(arity))
+            x = PadicPoint.from_integers(a, prime, precision)
+            y = PadicPoint.from_integers(b, prime, precision)
+            required = min((xi - yi).ord() - ai for xi, yi, ai in zip(x.coords, y.coords, alpha))
+            if required != math.inf:
+                yield (_shape(a), _shape(b)), F(x) - F(y), required
+
+    violations, first = vanishing_scan(pairs(), "deciding the pair {}".format)
     return SampledLipschitzReport(alpha, samples, violations, first, seed)
 
 

@@ -80,6 +80,26 @@ def val_mod(v: int, p: int, n: int) -> int:
     return k
 
 
+def vanishing_verdict_int(checks: Sequence[tuple[int, int, int]], p: int):
+    """Three-valued verdict on (residue, precision, order) checks, in plain ints.
+
+    A check fails when one of its known digits below the order is nonzero,
+    and is undecided when its known digits all vanish short of the order.
+    Returns ("violated", failures, first failing position) when any check
+    fails, else ("undecided", 0, first undecided position) or ("holds", 0, None).
+    """
+    failures, first, short = 0, None, None
+    for i, (residue, precision, order) in enumerate(checks):
+        if any(int_digits(residue, p, precision)[: max(order, 0)]):
+            failures += 1
+            first = i if first is None else first
+        elif order > precision and short is None:
+            short = i
+    if failures:
+        return "violated", failures, first
+    return ("holds", 0, None) if short is None else ("undecided", 0, short)
+
+
 def initial_parts_int(x: int, p: int, level: int) -> list[int]:
     """Distinct truncations x mod p^(k+1) for k < level, plain integers."""
     parts = []

@@ -397,6 +397,59 @@ class TestErrorsAndDeterminism:
         assert error["category"] == "precision"
         assert "bound at m=49" in error["message"]
 
+    def test_weight_is_checked_before_the_expansion(self, capsys):
+        # the level-3 bivariate grid is 117,649 evaluations
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "lipschitz", "--prime", "7", "--vars", "2", "--expr", "x1 + x2",
+            "--level", "3", "--alpha", "0", "--samples", "10",
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["category"] == "config"
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_bound_violation_wins_over_undecided_tiers(self, capsys, tmp_path, seed):
+        # N = 1 < K = 3: the pair tier cannot list initial parts of its points
+        entries = [[0]] * 343
+        entries[100] = [1]
+        path = tmp_path / "viol.json"
+        path.write_text(json.dumps({"p": 7, "K": 3, "N": 1, "B": entries}))
+        code, payload = run_json(
+            capsys, "lipschitz", "--prime", "7", "--table", str(path), "--alpha", "0",
+            "--seed", seed,
+        )
+        assert code == 1
+        result = payload["result"]
+        assert result["verdict"] == "violated"
+        assert result["tiers"]["necessary-bound"]["violation"] == 100
+        assert "needs 3 digits" in result["tiers"]["pair-sampled"]["undecided"]
+
+    def test_bound_violation_wins_over_an_undecided_projection_tier(self, capsys, tmp_path):
+        side = 2**3
+        entries = {f"({i},{j})": [0] for i in range(side) for j in range(side)}
+        entries["(2,0)"] = [1]  # order 1 needed, and the one known digit is 1
+        path = tmp_path / "viol2.json"
+        path.write_text(json.dumps({"p": 2, "n": 2, "K": 3, "N": 1, "A": entries}))
+        code, payload = run_json(
+            capsys, "lipschitz", "--prime", "2", "--table", str(path), "--alpha", "0,0",
+        )
+        assert code == 1
+        tiers = payload["result"]["tiers"]
+        assert tiers["necessary-bound"]["violation"] == [2, 0]
+        assert "undecided" in tiers["projection-sampled"]
+        assert "undecided" in tiers["pair-sampled"]
+
+    def test_starved_table_without_a_violation_stays_undecided(self, capsys, tmp_path):
+        # at alpha = 2 every order is <= 0, so the bound holds; the pair tier cannot decide
+        path = tmp_path / "starved.json"
+        path.write_text(json.dumps({"p": 7, "K": 3, "N": 1, "B": [[0]] * 343}))
+        code, out, err = run_cli(
+            capsys, "lipschitz", "--prime", "7", "--table", str(path), "--alpha", "2",
+        )
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"]["category"] == "precision"
+
     def test_byte_identical_output(self, capsys):
         argv = [
             "lipschitz", "--prime", "7", "--expr", FERMAT_DIFF_TEXT,

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicvdp.core import (
@@ -20,9 +20,12 @@ from padicvdp.core import (
     initial_part,
     is_prime,
     m_star,
+    vanishes_to,
+    vanishing_scan,
+    weight,
 )
 
-from support import int_digits
+from support import int_digits, vanishing_verdict_int
 
 
 class TestFromInteger:
@@ -354,3 +357,56 @@ def test_from_json_rejects_bad_digits():
         PadicInt.from_json({"p": 3, "precision": 2, "digits": [1, 3]})
     with pytest.raises(ValueError):
         PadicInt.from_json({"p": 3, "precision": 3, "digits": [1, 2]})
+
+
+def _vanishing_cases():
+    """A prime and 1-6 (residue, precision, order) checks; residues p^z * u mod p^N."""
+
+    def checks(p):
+        check = st.builds(
+            lambda n, e, z, u: (p**z * u % p**n, n, e),
+            st.integers(1, 6), st.integers(-1, 8), st.integers(0, 6), st.integers(1, p**6),
+        )
+        return st.tuples(st.just(p), st.lists(check, min_size=1, max_size=6))
+
+    return st.sampled_from([2, 3, 5]).flatmap(checks)
+
+
+@settings(max_examples=400)
+@given(_vanishing_cases())
+@example((2, [(0, 2, 3)]))  # undecided
+@example((3, [(0, 1, 3), (3, 2, 2)]))  # violated after an undecided check
+@example((5, [(0, 3, 2), (25, 3, 2)]))  # holds
+def test_vanishing_scan_matches_integer_model(case):
+    p, checks = case
+    values = [(i, from_integer(r, p, n), e) for i, (r, n, e) in enumerate(checks)]
+    verdict, failures, site = vanishing_verdict_int(checks, p)
+    describe = "check {}".format
+    if verdict == "undecided":
+        _, n, e = checks[site]
+        with pytest.raises(PrecisionExhaustedError, match=f"^check {site} needs {e} digits, known {n}$"):
+            vanishing_scan(values, describe)
+    else:
+        assert vanishing_scan(values, describe) == (failures, site)
+    for (i, value, e), check in zip(values, checks):
+        single = vanishing_verdict_int([check], p)[0]
+        if single == "undecided":
+            with pytest.raises(PrecisionExhaustedError, match=f"^check {i} needs {e} digits"):
+                vanishes_to(value, e, describe, i)
+        else:
+            assert vanishes_to(value, e, describe, i) == (single == "holds")
+
+
+@pytest.mark.parametrize("alpha, arity, expected", [
+    (0, 1, (0,)), (3, 1, (3,)), ((1, 2), 2, (1, 2)), ([0, 0, 4], 3, (0, 0, 4)),
+])
+def test_weight_accepts(alpha, arity, expected):
+    assert weight(alpha, arity) == expected
+
+
+@pytest.mark.parametrize("alpha, arity", [
+    (-1, 1), ((0, -1), 2), ((0,), 2), ((0, 0), 1), (True, 1), (1.0, 1), ("1", 1), ((), 1),
+])
+def test_weight_rejects(alpha, arity):
+    with pytest.raises(ValueError, match="weight must be"):
+        weight(alpha, arity)
