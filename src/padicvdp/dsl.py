@@ -7,22 +7,23 @@ Grammar (whitespace-insensitive):
     factor   = [ "-" ] , base , [ "^" , natural ] ;
     base     = integer | rational | variable | "(" expr ")"
              | "divp" "(" expr "," natural ")"
-             | "digitsum" "(" variable "," ipoly "," natural ")" ;
+             | "digitsum" "(" variable "," expr "," natural ")" ;
     variable = "x" , natural ;                      (* x1 ... xn *)
-    ipoly    = integer-coefficient polynomial in the symbol "i" ;
     rational = integer "/" integer ;
 
 divp(e, k) divides by p^k exactly and costs k digits of precision.
 digitsum(xj, a, e) maps the digits of xj to sum(p^i * a(i) * digit_i^e),
-which is how locally-defined digit maps are written. Rational constants
-must have denominator coprime to p; they are embedded by modular
-inversion at evaluation time.
+which is how locally-defined digit maps are written; a is an expr over
+integers and the digit index i (a name nowhere else), of degree at most
+MAX_DEPTH. Rational constants must have denominator coprime to p; they are
+embedded by modular inversion at evaluation time.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Union
 
 from .core import (
@@ -123,6 +124,11 @@ class DigitSum:
 
 
 FuncExpr = Union[IntConst, RatConst, Var, Add, Sub, Mul, Pow, DivP, DigitSum]
+
+
+@dataclass(frozen=True)
+class _DigitIndex:
+    """The symbol i of a digitsum coefficient; folded away inside the parser."""
 
 
 @dataclass(frozen=True)
@@ -254,12 +260,42 @@ def _deeper(depth: int, tok: _Token) -> int:
     return depth + 1
 
 
+def _fold(node, tok: _Token) -> tuple[int, ...]:
+    """Dense coefficients in i of a digitsum coefficient; powers and degrees checked first."""
+
+    def within(size: int) -> None:  # refused at tok, the digitsum keyword
+        if size > MAX_DEPTH:
+            raise ParseError(f"digitsum coefficient power or degree above {MAX_DEPTH}",
+                             tok.line, tok.col)
+
+    match node:
+        case IntConst(value=v):
+            return (v,)
+        case _DigitIndex():
+            return (0, 1)
+        case Add(left=a, right=b):
+            return _poly_add(_fold(a, tok), _fold(b, tok))
+        case Sub(left=a, right=b):
+            return _poly_add(_fold(a, tok), _fold(b, tok), -1)
+        case Mul(left=a, right=b):
+            a, b = _fold(a, tok), _fold(b, tok)
+            within(len(a) + len(b) - 2)
+            return _poly_mul(a, b)
+        case Pow(base=b, exponent=e):
+            within(e)
+            b = _fold(b, tok)
+            within((len(b) - 1) * e)
+            return reduce(_poly_mul, [b] * e, (1,))
+    raise TypeError(f"not a coefficient node: {node!r}")
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], arity: int):
         self.tokens = tokens
         self.pos = 0
         self.arity = arity
-        self.nesting = 0  # factors of either grammar entered and not yet left
+        self.nesting = 0  # factors entered and not yet left
+        self.coefficient = False  # inside a digitsum coefficient, where i is the only name
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -325,10 +361,16 @@ class _Parser:
 
     def base(self) -> tuple[FuncExpr, int]:
         tok = self.peek()
+        if self.coefficient and not (tok.kind == "int" or tok.text in ("(", "i")):
+            raise ParseError(f"unexpected token {tok.text!r} in digit coefficient polynomial",
+                             tok.line, tok.col)
         if tok.kind == "int":
             self.next()
             value = int(tok.text)
             if self.peek().kind == "sym" and self.peek().text == "/":
+                if self.coefficient:
+                    raise ParseError("digitsum coefficient polynomial must have integer "
+                                     "coefficients", tok.line, tok.col)
                 self.next()
                 den_tok = self.peek()
                 sign = 1
@@ -351,6 +393,9 @@ class _Parser:
             self.expect_sym(")")
             return node, depth
         if tok.kind == "name":
+            if self.coefficient:  # the check above admits no other name
+                self.next()
+                return _DigitIndex(), 1
             if tok.text == "divp":
                 self.next()
                 self.expect_sym("(")
@@ -366,7 +411,10 @@ class _Parser:
                 self.expect_sym("(")
                 var = self.variable()
                 self.expect_sym(",")
-                coeffs = self.ipoly_expr()
+                self.coefficient = True
+                coeff, _ = self.expr()
+                self.coefficient = False
+                coeffs = _fold(coeff, tok)
                 self.expect_sym(",")
                 e = self.natural()
                 if e < 1:
@@ -393,62 +441,6 @@ class _Parser:
             )
         self.next()
         return Var(index)
-
-    # Polynomial in the digit symbol "i"; only integers, i, + - * ^ allowed.
-
-    def ipoly_expr(self) -> tuple[int, ...]:
-        coeffs = self.ipoly_term()
-        while self.peek().kind == "sym" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.ipoly_term()
-            coeffs = _poly_add(coeffs, rhs, 1 if op == "+" else -1)
-        return coeffs
-
-    def ipoly_term(self) -> tuple[int, ...]:
-        coeffs = self.ipoly_factor()
-        while self.peek().kind == "sym" and self.peek().text == "*":
-            self.next()
-            coeffs = _poly_mul(coeffs, self.ipoly_factor())
-        return coeffs
-
-    def ipoly_factor(self) -> tuple[int, ...]:
-        tok = self.peek()
-        self.nesting = _deeper(self.nesting, tok)
-        if tok.kind == "sym" and tok.text == "-":
-            self.next()
-            coeffs = _poly_mul((-1,), self.ipoly_factor())
-        else:
-            base = coeffs = self.ipoly_base()
-            if self.peek().kind == "sym" and self.peek().text == "^":
-                self.next()
-                coeffs = (1,)
-                for _ in range(self.natural()):
-                    coeffs = _poly_mul(coeffs, base)
-        self.nesting -= 1
-        return coeffs
-
-    def ipoly_base(self) -> tuple[int, ...]:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            if self.peek().kind == "sym" and self.peek().text == "/":
-                raise ParseError(
-                    "digitsum coefficient polynomial must have integer coefficients",
-                    tok.line, tok.col,
-                )
-            return (int(tok.text),)
-        if tok.kind == "name" and tok.text == "i":
-            self.next()
-            return (0, 1)
-        if tok.kind == "sym" and tok.text == "(":
-            self.next()
-            coeffs = self.ipoly_expr()
-            self.expect_sym(")")
-            return coeffs
-        raise ParseError(
-            f"unexpected token {tok.text!r} in digit coefficient polynomial",
-            tok.line, tok.col,
-        )
 
 
 def _negate(node: FuncExpr) -> FuncExpr:
@@ -528,10 +520,12 @@ def evaluate(expr: FuncExpr, point: PadicPoint) -> PadicInt:
                     f"expression uses x{k} but the point has arity {point.arity}"
                 )
             x = point.coords[k - 1]
+            digits = x.digits
+            digit_power = {d: pow(d, e, p**x.precision) for d in set(digits)}
             total = 0
             power = 1
-            for i, d in enumerate(x.digits):
-                total += power * _poly_eval(cs, i) * d**e
+            for i, d in enumerate(digits):
+                total += power * _poly_eval(cs, i) * digit_power[d]
                 power *= p
             return _from_residue(total, p, x.precision)
     raise TypeError(f"not an expression node: {expr!r}")

@@ -134,6 +134,13 @@ def _as_padic(
     return F(PadicPoint.from_integers(values, prime, precision))
 
 
+def _level_digit(value: PadicInt, level: int, describe) -> int | None:
+    """Digit `level` of a value that vanishes below it, else None; undecided raises."""
+    if not vanishes_to(value, level, describe, level):
+        return None
+    return 0 if vanishes_to(value, level + 1, describe, level) else value.digit(level)
+
+
 def _condition_values(
     F: PointEvaluator,
     current: Sequence[int],
@@ -150,7 +157,7 @@ def _condition_values(
         shifted = list(current)
         shifted[coord - 1] += r * step
         d = _as_padic(F, shifted, prime, eval_precision) - base_value
-        values.append(d.digit(level) if vanishes_to(d, level, _CONDITION_SITE, level) else None)
+        values.append(_level_digit(d, level, _CONDITION_SITE))
     return tuple(values)
 
 
@@ -224,10 +231,10 @@ def hensel_lift_multi(
     levels: list[LiftLevel] = []
     for level in range(l0 + max(alpha), target_precision):
         base = _as_padic(F, current, prime, W)
-        if not vanishes_to(base, level, _LEVEL_SITE, level):
+        t_bar = _level_digit(base, level, _LEVEL_SITE)
+        if t_bar is None:
             # entry-level gap: F vanishes to the precondition order only
             return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, level)
-        t_bar = base.digit(level)
 
         chosen: tuple[int, tuple[int | None, ...]] | None = None
         first_attempt: tuple[int, tuple[int | None, ...]] | None = None

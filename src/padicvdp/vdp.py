@@ -143,8 +143,8 @@ class VdpTable:
 
     Coefficients are stored row-major: the flat index of m is the integer
     with base-p^level digits m_1 ... m_n, m_n least significant (at arity 1,
-    m itself). When alpha is set (an int at arity 1), `normalized` holds
-    a_m = A_m / p^shift, whose integrality witnesses the bound.
+    m itself). A table built with alpha (an int at arity 1) checks the bound
+    once, then derives `normalized` (else None): a_m = A_m / p^shift.
     """
 
     prime: int
@@ -152,19 +152,24 @@ class VdpTable:
     coeffs: tuple[PadicInt, ...]
     arity: int = 1
     alpha: int | tuple[int, ...] | None = None
-    normalized: tuple[PadicInt, ...] | None = None
 
     def __post_init__(self) -> None:
         _check_count(self.prime, self.level * self.arity, len(self.coeffs),
                      f"table at level {self.level} and arity {self.arity}")
         if any(c.prime != self.prime for c in self.coeffs):
             raise ValueError("coefficient prime does not match table prime")
-        if (self.alpha is None) != (self.normalized is None):
-            raise ValueError("alpha and normalized coefficients come together")
+        normalized = None
         if self.alpha is not None:
             object.__setattr__(self, "alpha", _shape(weight(self.alpha, self.arity)))
-            if len(self.normalized or ()) != len(self.coeffs):
-                raise ValueError("normalized coefficient count mismatch")
+            shifts = _shifts(self, self.alpha)
+            m = _first_violation(self, shifts)
+            if m is not None:
+                raise LipschitzBoundError(
+                    f"coefficient bound violated at m={_shape(m)}, cannot normalize"
+                )
+            normalized = tuple(c.exact_div_p(e) if e >= 0 else c.mul_pow_p(-e)
+                               for c, e in zip(self.coeffs, shifts))
+        object.__setattr__(self, "normalized", normalized)
 
     @property
     def side(self) -> int:
@@ -253,15 +258,14 @@ class VdpTable:
                 entries = [entries.get(_key(m)) for m in grid]
             return tuple(_entry(p, digits) for digits in entries)
 
-        alpha = data.get("alpha")
-        return cls(
-            prime=p,
-            level=level,
-            coeffs=dense("A" if keyed else "B"),
-            arity=arity,
-            alpha=alpha,
-            normalized=None if alpha is None else dense("a" if keyed else "b"),
-        )
+        try:
+            table = cls(p, level, dense("A" if keyed else "B"), arity, data.get("alpha"))
+        except LipschitzBoundError as exc:
+            raise ValueError(f"stored table: {exc}") from exc
+        name = "a" if keyed else "b"  # stored normalized entries must be the derived ones
+        if table.normalized is not None and dense(name) != table.normalized:
+            raise ValueError(f"table field {name} does not match the coefficients at alpha")
+        return table
 
 
 def vdp_expand_multi(
@@ -393,22 +397,12 @@ def lip_alpha_check_uni(table: VdpTable, alpha: int) -> LipschitzVerdict:
     return weighted_lip_bound_check(table, (alpha,))
 
 
-def _div_pow_p(c: PadicInt, shift: int) -> PadicInt:
-    """c / p^shift, exactly; a negative shift multiplies."""
-    return c.exact_div_p(shift) if shift >= 0 else c.mul_pow_p(-shift)
-
-
 def normalize_weighted(table: VdpTable, alpha: Sequence[int]) -> VdpTable:
     """Attach unit-scale coefficients a_m with A_m = p^shift * a_m.
 
     Requires the coefficient bound to hold; the shift down is then exact.
     """
-    shifts = _shifts(table, alpha)
-    m = _first_violation(table, shifts)
-    if m is not None:
-        raise LipschitzBoundError(f"coefficient bound violated at m={_shape(m)}, cannot normalize")
-    normalized = tuple(_div_pow_p(c, e) for c, e in zip(table.coeffs, shifts))
-    return replace(table, alpha=alpha, normalized=normalized)
+    return replace(table, alpha=alpha)
 
 
 def normalize_alpha(table: VdpTable, alpha: int) -> VdpTable:
@@ -417,12 +411,10 @@ def normalize_alpha(table: VdpTable, alpha: int) -> VdpTable:
 
 
 def denormalize_weighted(table: VdpTable) -> VdpTable:
-    """Recover the raw coefficients from the normalized ones."""
-    if table.alpha is None or table.normalized is None:
+    """The raw table, without the normalized coefficients."""
+    if table.alpha is None:
         raise ValueError("table carries no normalized coefficients")
-    shifts = _shifts(table, table.alpha)
-    coeffs = tuple(_div_pow_p(a, -e) for a, e in zip(table.normalized, shifts))
-    return replace(table, coeffs=coeffs, alpha=None, normalized=None)
+    return replace(table, alpha=None)
 
 
 denormalize_alpha = denormalize_weighted

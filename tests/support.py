@@ -100,6 +100,106 @@ def vanishing_verdict_int(checks: Sequence[tuple[int, int, int]], p: int):
     return ("holds", 0, None) if short is None else ("undecided", 0, short)
 
 
+def digitsum_int(coeffs: Sequence[int], exponent: int, x: int, p: int, n: int) -> int:
+    """digitsum(x, a, e) mod p^n in plain integers, each digit power taken exactly."""
+    total = 0
+    for i, d in enumerate(int_digits(x, p, n)):
+        a = sum(c * i**k for k, c in enumerate(coeffs))
+        total += p**i * a * d**exponent
+    return total % p**n
+
+
+_COEFFICIENT_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "neg": 2, "^": 3}
+
+
+def render_coefficient(tree) -> str:
+    """Source text of a coefficient tree, parenthesized only where the grammar needs it.
+
+    Trees are ("int", v), ("i",), ("()", a) for explicit parentheses,
+    ("neg", a), (op, a, b) with op in "+-*", and ("^", a, e).
+    """
+
+    def prec(node) -> int:
+        if node[0] == "int":
+            return 2 if node[1] < 0 else 4  # a negative literal parses as unary minus
+        return _COEFFICIENT_PRECEDENCE.get(node[0], 4)
+
+    def wrap(node, need: int) -> str:
+        text = go(node)
+        return f"({text})" if prec(node) < need else text
+
+    def go(node) -> str:
+        kind = node[0]
+        if kind == "int":
+            return str(node[1])
+        if kind == "i":
+            return "i"
+        if kind == "()":
+            return f"({go(node[1])})"
+        if kind == "neg":
+            return "-" + wrap(node[1], 2)
+        if kind == "^":
+            return f"{wrap(node[1], 4)}^{node[2]}"
+        left, right = (0, 1) if kind in "+-" else (1, 2)
+        return f"{wrap(node[1], left)} {kind} {wrap(node[2], right)}"
+
+    return go(tree)
+
+
+def coefficient_int(tree, limit: int) -> tuple[int, ...] | None:
+    """Dense coefficients in i of a coefficient tree, by dict arithmetic on ints.
+
+    None when a power's exponent, or the degree of a product or power, would
+    exceed limit.
+    """
+
+    class TooBig(Exception):
+        pass
+
+    def degree(poly: dict) -> int:
+        return max((k for k, v in poly.items() if v), default=0)
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for i, u in a.items():
+            for j, v in b.items():
+                out[i + j] = out.get(i + j, 0) + u * v
+        return out
+
+    def go(node) -> dict:
+        kind = node[0]
+        if kind == "int":
+            return {0: node[1]}
+        if kind == "i":
+            return {1: 1}
+        if kind == "()":
+            return go(node[1])
+        if kind == "neg":
+            return {k: -v for k, v in go(node[1]).items()}
+        if kind == "^":
+            if node[2] > limit:
+                raise TooBig
+            base, out = go(node[1]), {0: 1}
+            if degree(base) * node[2] > limit:
+                raise TooBig
+            for _ in range(node[2]):
+                out = times(out, base)
+            return out
+        a, b = go(node[1]), go(node[2])
+        if kind == "*":
+            if degree(a) + degree(b) > limit:
+                raise TooBig
+            return times(a, b)
+        sign = 1 if kind == "+" else -1
+        return {k: a.get(k, 0) + sign * b.get(k, 0) for k in a.keys() | b.keys()}
+
+    try:
+        poly = go(tree)
+    except TooBig:
+        return None
+    return tuple(poly.get(k, 0) for k in range(degree(poly) + 1))
+
+
 def initial_parts_int(x: int, p: int, level: int) -> list[int]:
     """Distinct truncations x mod p^(k+1) for k < level, plain integers."""
     parts = []

@@ -9,6 +9,7 @@ import pytest
 
 import padicvdp
 from padicvdp.cli import main
+from padicvdp.vdp import VdpTable, normalize_alpha
 
 from support import FERMAT_DIFF_TEXT, QUINTIC_TEXT
 
@@ -211,6 +212,22 @@ class TestTableValidation:
         assert code == 0 and err == ""
         assert (code, out, err) == listed
 
+    def test_stored_normalized_entries_must_match(self, capsys, tmp_path):
+        data = {"p": 7, "K": 1, "N": 2, "B": [[0, 0]] * 7, "alpha": 0, "b": [[1, 0]] * 7}
+        self.assert_config_error(*self.lipschitz_on(capsys, tmp_path, data))
+
+    def test_stored_alpha_must_satisfy_the_bound(self, capsys, tmp_path):
+        data = self.stored_table(capsys, tmp_path, "--level", "2")
+        data.update(alpha=0, b=data["B"])
+        self.assert_config_error(*self.lipschitz_on(capsys, tmp_path, data))
+
+    def test_valid_normalized_table_is_read(self, capsys, tmp_path):
+        data = self.stored_table(capsys, tmp_path, "--level", "2")
+        plain = self.lipschitz_on(capsys, tmp_path, data)
+        normalized = normalize_alpha(VdpTable.from_json(data), 1).to_json()
+        assert self.lipschitz_on(capsys, tmp_path, normalized) == plain
+        assert plain[0] == 0
+
 
 class TestRootsAndLift:
     def test_quintic_roots(self, capsys):
@@ -385,6 +402,38 @@ class TestErrorsAndDeterminism:
         error = json.loads(err)["error"]
         assert error["category"] == "parse-error"
         assert "line 1, column" in error["message"]
+
+    @pytest.mark.parametrize("coefficient", ["i^200000", "((i^30)^30)^30", "2^100000", "i^101"])
+    def test_oversized_digitsum_coefficient_is_a_parse_error(self, capsys, coefficient):
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "eval", "--prime", "7", "--expr", f"digitsum(x1, {coefficient}, 1)",
+            "--point", "1",
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "parse-error"
+        assert "line 1, column 1" in error["message"]
+
+    @pytest.mark.parametrize("coefficient", ["i^100", "(1+i)^100"])
+    def test_digitsum_coefficient_at_the_limit_evaluates(self, capsys, coefficient):
+        code, out, err = run_cli(
+            capsys, "eval", "--prime", "7", "--expr", f"digitsum(x1, {coefficient}, 1)",
+            "--point", "1",
+        )
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("exponent", ["10000000", "100000000"])
+    def test_huge_digitsum_exponent_evaluates_quickly(self, capsys, exponent):
+        started = time.monotonic()
+        code, payload = run_json(
+            capsys, "eval", "--prime", "7", "--expr", f"digitsum(x1, 1, {exponent})",
+            "--point", "2024",
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 0
+        assert payload["result"]["value"]["precision"] == 12
 
     def test_starved_table_is_undecided_in_the_bound_tier(self, capsys, tmp_path):
         path = tmp_path / "starved.json"

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicvdp.core import (
     InexactDivisionError,
@@ -28,7 +30,15 @@ from padicvdp.dsl import (
     well_defined_check,
 )
 
-from support import QUINTIC_TEXT, eval_int_model, quintic_int, random_total_expr
+from support import (
+    QUINTIC_TEXT,
+    coefficient_int,
+    digitsum_int,
+    eval_int_model,
+    quintic_int,
+    random_total_expr,
+    render_coefficient,
+)
 
 
 def ev1(text, x_int, p, n):
@@ -113,6 +123,84 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse("x1 x1", 1)
+
+
+@st.composite
+def coefficient_trees(draw, depth=5):
+    """Random digitsum coefficient trees in the form `render_coefficient` reads."""
+    kind = draw(st.sampled_from(["int", "i"] if depth == 0 else
+                                ["int", "i", "()", "neg", "+", "-", "*", "^"]))
+    if kind == "int":
+        return ("int", draw(st.integers(-30, 30)))
+    if kind == "i":
+        return ("i",)
+    if kind in ("()", "neg"):
+        return (kind, draw(coefficient_trees(depth - 1)))
+    if kind == "^":
+        return ("^", draw(coefficient_trees(depth - 1)), draw(st.integers(0, 3)))
+    return (kind, draw(coefficient_trees(depth - 1)), draw(coefficient_trees(depth - 1)))
+
+
+class TestDigitsumCoefficient:
+    """A digitsum coefficient is an expr over integers and i, folded to dense form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(coefficient_trees())
+    def test_fold_matches_the_integer_model(self, tree):
+        text = f"digitsum(x1, {render_coefficient(tree)}, 1)"
+        expected = coefficient_int(tree, MAX_DEPTH)
+        if expected is None:
+            with pytest.raises(ParseError, match="power or degree") as info:
+                parse(text, 1)
+            assert (info.value.line, info.value.col) == (1, 1)
+        else:
+            assert parse(text, 1) == DigitSum(1, expected, 1)
+
+    @pytest.mark.parametrize("coefficient", [
+        "i^101", "i^200000", "((i^30)^30)^30", "2^100000", "i^50 * i^51", "(i^2 + 1)^51",
+    ])
+    def test_power_or_degree_above_max_depth_is_refused_at_the_keyword(self, coefficient):
+        with pytest.raises(ParseError, match=f"power or degree above {MAX_DEPTH}") as info:
+            parse(f"x1 + digitsum(x1, {coefficient}, 1)", 1)
+        assert (info.value.line, info.value.col) == (1, 6)
+
+    def test_max_depth_itself_is_accepted(self):
+        assert parse("digitsum(x1, i^100, 1)", 1).coeffs == (0,) * 100 + (1,)
+        binomials = parse("digitsum(x1, (1 + i)^100, 1)", 1).coeffs
+        assert binomials[:3] == (1, 100, 4950) and len(binomials) == 101
+        assert parse("digitsum(x1, i^50 * i^50, 1)", 1).coeffs[-1] == 1
+
+    @pytest.mark.parametrize("coefficient, column, message", [
+        ("1 + x1", 18, "unexpected token 'x1' in digit coefficient polynomial"),
+        ("i + 1/2", 18, "must have integer coefficients"),
+        ("i * divp(i, 1)", 18, "unexpected token 'divp' in digit coefficient polynomial"),
+        ("(digitsum(x1, i, 1))", 15, "unexpected token 'digitsum' in digit coefficient"),
+    ])
+    def test_foreign_atoms_are_refused_at_their_token(self, coefficient, column, message):
+        with pytest.raises(ParseError, match=message) as info:
+            parse(f"digitsum(x1, {coefficient}, 1)", 1)
+        assert (info.value.line, info.value.col) == (1, column)
+
+    def test_i_is_unknown_outside_a_coefficient(self):
+        with pytest.raises(ParseError, match="unknown identifier 'i'") as info:
+            parse("digitsum(x1, i, 1) + i", 1)
+        assert (info.value.line, info.value.col) == (1, 22)
+
+    def test_a_flat_sum_of_more_than_max_depth_terms_is_too_deep(self):
+        flat = "+".join(["i"] * MAX_DEPTH)
+        assert parse(f"digitsum(x1, {flat}, 1)", 1).coeffs == (0, MAX_DEPTH)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+            parse(f"digitsum(x1, {flat} + i, 1)", 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.data())
+    def test_digit_powers_match_the_integer_model(self, p, data):
+        n = data.draw(st.integers(1, 8))
+        x = data.draw(st.integers(0, p**n - 1))
+        exponent = data.draw(st.one_of(st.integers(1, 3000), st.sampled_from([p, p**2, p**3])))
+        coeffs = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
+        got = evaluate(DigitSum(1, coeffs, exponent), PadicPoint((from_integer(x, p, n),)))
+        assert got.to_integer() == digitsum_int(coeffs, exponent, x, p, n)
 
 
 class TestFuncDef:

@@ -1,6 +1,6 @@
 import pytest
 
-from padicvdp.core import EnumerationBudgetError, from_integer
+from padicvdp.core import EnumerationBudgetError, PrecisionExhaustedError, from_integer
 from padicvdp.dsl import FuncDef, as_point_function, as_univariate, parse
 from padicvdp.hensel import (
     STATUS_CONDITION_FAILED,
@@ -116,6 +116,23 @@ class TestLiftUnivariate:
         assert trace.status == STATUS_CONDITION_FAILED
         assert trace.failed_level == 2
         assert set(trace.levels[-1].condition_values) == {None}
+
+    def test_residual_read_names_the_level(self):
+        # F keeps exactly 5 digits, so level 5 cannot read its residual digit
+        f = uni("divp(7*x1^2 - 7*2, 1)")
+        with pytest.raises(PrecisionExhaustedError,
+                           match="F at lifting level 5 needs 6 digits, known 5"):
+            hensel_lift_uni(f, 0, 3, 1, 6, 7, eval_precision=6)
+
+    def test_condition_read_names_the_level(self):
+        # x^2 - 2 with every point but the start known to one digit only
+        def f(x):
+            value = from_integer((x.to_integer() ** 2 - 2) % 7**6, 7, 6)
+            return value if x.to_integer() == 3 else value.truncate(1)
+
+        with pytest.raises(PrecisionExhaustedError,
+                           match="the condition set at level 1 needs 2 digits, known 1"):
+            hensel_lift_uni(f, 0, 3, 1, 6, 7, eval_precision=6)
 
     def test_start_out_of_range(self):
         with pytest.raises(PreconditionError):

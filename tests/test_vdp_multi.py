@@ -232,6 +232,14 @@ class TestWeightedBound:
         back = denormalize_weighted(normalize_weighted(table, (1, 0)))
         assert back.coeffs == table.coeffs
 
+    def test_stored_keyed_normalized_entries_are_checked(self):
+        table = normalize_weighted(vdp_expand_multi(dsl_fn("x1 + 2 * x2", 2), 2, 2, 3, 5), (0, 1))
+        data = table.to_json()
+        assert VdpTable.from_json(data).to_json() == data
+        data["a"]["(1,4)"] = [1, 0, 0, 0, 0]
+        with pytest.raises(ValueError, match="field a does not match"):
+            VdpTable.from_json(data)
+
 
 class TestProjection:
     def test_freezing_one_coordinate(self):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -264,6 +265,20 @@ class TestNormalization:
         with pytest.raises(LipschitzBoundError):
             normalize_alpha(table, 0)
 
+    def test_normalized_entries_are_derived_not_stored(self):
+        assert [f.name for f in fields(VdpTable)] == ["prime", "level", "coeffs", "arity", "alpha"]
+        table = vdp_expand_uni(dsl_uni(FERMAT_DIFF_TEXT), 2, 7, 8)
+        assert table.normalized is None
+        built = VdpTable(prime=7, level=2, coeffs=table.coeffs, alpha=1)
+        assert built == normalize_alpha(table, 1)
+        assert built.normalized == normalize_alpha(table, 1).normalized
+        with pytest.raises(LipschitzBoundError, match="m=7"):
+            VdpTable(prime=7, level=2, coeffs=table.coeffs, alpha=0)
+
+    def test_denormalize_needs_a_weight(self):
+        with pytest.raises(ValueError, match="no normalized coefficients"):
+            denormalize_alpha(vdp_expand_uni(dsl_uni("x1"), 2, 3, 6))
+
 
 class TestSampledCheck:
     def test_constant_never_violates(self):
@@ -327,6 +342,24 @@ class TestTableJson:
         again = VdpTable.from_json(keyed)
         assert again == table and again.alpha == 1
         assert again.to_json() == data
+
+    def test_stored_normalized_entries_must_match_the_coefficients(self):
+        data = {"p": 7, "K": 1, "N": 2, "B": [[0, 0]] * 7, "alpha": 0, "b": [[1, 0]] * 7}
+        with pytest.raises(ValueError, match="field b does not match"):
+            VdpTable.from_json(data)
+        data["b"] = [[0, 0]] * 7
+        assert denormalize_alpha(VdpTable.from_json(data)).coeffs == (from_integer(0, 7, 2),) * 7
+
+    def test_stored_alpha_must_satisfy_the_bound(self):
+        data = vdp_expand_uni(dsl_uni(FERMAT_DIFF_TEXT), 2, 7, 8).to_json()
+        data.update(alpha=0, b=data["B"])
+        with pytest.raises(ValueError, match="bound violated at m=7"):
+            VdpTable.from_json(data)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_normalized_table_round_trips_to_equal_json(self, alpha):
+        data = normalize_alpha(vdp_expand_uni(dsl_uni(FERMAT_DIFF_TEXT), 2, 7, 8), alpha).to_json()
+        assert VdpTable.from_json(data).to_json() == data
 
     @pytest.mark.parametrize(
         "field,value", [("K", 10**9), ("K", 1e9), ("K", "2"), ("K", True), ("p", 4)]
