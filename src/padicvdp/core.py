@@ -173,11 +173,7 @@ class PadicInt:
     @property
     def digits(self) -> tuple[int, ...]:
         """The known base-p digits, low first."""
-        digits, value = [], self.residue
-        for _ in range(self.precision):
-            value, d = divmod(value, self.prime)
-            digits.append(d)
-        return tuple(digits)
+        return tuple(_digit_list(self.residue, self.prime, self.precision))
 
     def digit(self, i: int) -> int:
         """The coefficient of p^i, for 0 <= i < precision."""
@@ -289,6 +285,15 @@ class PadicInt:
         if len(digits) != data.get("precision", len(digits)):
             raise ValueError("digit count does not match declared precision")
         return cls(data["p"], digits)
+
+
+def _digit_list(residue: int, p: int, precision: int) -> list[int]:
+    """The first `precision` base-p digits of residue >= 0, low first."""
+    digits = []
+    for _ in range(precision):
+        residue, d = divmod(residue, p)
+        digits.append(d)
+    return digits
 
 
 def _set(x: PadicInt, p: int, precision: int, residue: int) -> None:

@@ -15,8 +15,9 @@ divp(e, k) divides by p^k exactly and costs k digits of precision.
 digitsum(xj, a, e) maps the digits of xj to sum(p^i * a(i) * digit_i^e),
 which is how locally-defined digit maps are written; a is an expr over
 integers and the digit index i (a name nowhere else), of degree at most
-MAX_DEPTH. Rational constants must have denominator coprime to p; they are
-embedded by modular inversion at evaluation time.
+MAX_DEPTH and below 2^(MAX_DEPTH^2) in absolute sum. Rational constants must
+have denominator coprime to p; they are embedded by modular inversion once
+per compiled form (see `evaluate`).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter, mul
 from typing import Callable, Union
 
 from .core import (
@@ -31,6 +33,8 @@ from .core import (
     PadicError,
     PadicInt,
     PadicPoint,
+    PrecisionExhaustedError,
+    _digit_list,
     _from_residue,
     from_rational,
     weight,
@@ -260,13 +264,27 @@ def _deeper(depth: int, tok: _Token) -> int:
     return depth + 1
 
 
-def _fold(node, tok: _Token) -> tuple[int, ...]:
-    """Dense coefficients in i of a digitsum coefficient; powers and degrees checked first."""
+def _integer(text: str, tok: _Token) -> int:
+    """int(text), or a ParseError at tok past Python's int-string digit limit."""
+    try:
+        return int(text)
+    except ValueError:  # also digits outside ASCII, which isdigit() admits
+        raise ParseError(f"integer literal of {len(text)} characters is too long or not decimal",
+                         tok.line, tok.col) from None
 
-    def within(size: int) -> None:  # refused at tok, the digitsum keyword
-        if size > MAX_DEPTH:
-            raise ParseError(f"digitsum coefficient power or degree above {MAX_DEPTH}",
-                             tok.line, tok.col)
+
+_COEFFICIENT_BITS = MAX_DEPTH**2  # bound on log2 of a digitsum coefficient's absolute sum
+
+
+def _fold(node, tok: _Token) -> tuple[int, ...]:
+    """Dense coefficients in i of a digitsum coefficient; each power, degree and size checked."""
+
+    def within(size: int, limit: int = MAX_DEPTH, what: str = "power or degree") -> None:
+        if size > limit:  # refused at tok, the digitsum keyword
+            raise ParseError(f"digitsum coefficient {what} above {limit}", tok.line, tok.col)
+
+    def bits(poly: tuple[int, ...]) -> int:  # ceil(log2) of sum |c|: bounds each, adds under *
+        return (sum(map(abs, poly)) - 1).bit_length()
 
     match node:
         case IntConst(value=v):
@@ -280,11 +298,13 @@ def _fold(node, tok: _Token) -> tuple[int, ...]:
         case Mul(left=a, right=b):
             a, b = _fold(a, tok), _fold(b, tok)
             within(len(a) + len(b) - 2)
+            within(bits(a) + bits(b), _COEFFICIENT_BITS, "size in bits")
             return _poly_mul(a, b)
         case Pow(base=b, exponent=e):
             within(e)
             b = _fold(b, tok)
             within((len(b) - 1) * e)
+            within(bits(b) * e, _COEFFICIENT_BITS, "size in bits")
             return reduce(_poly_mul, [b] * e, (1,))
     raise TypeError(f"not a coefficient node: {node!r}")
 
@@ -357,7 +377,7 @@ class _Parser:
             raise ParseError(f"expected a natural number, found {tok.text!r}",
                              tok.line, tok.col)
         self.next()
-        return int(tok.text)
+        return _integer(tok.text, tok)
 
     def base(self) -> tuple[FuncExpr, int]:
         tok = self.peek()
@@ -366,7 +386,7 @@ class _Parser:
                              tok.line, tok.col)
         if tok.kind == "int":
             self.next()
-            value = int(tok.text)
+            value = _integer(tok.text, tok)
             if self.peek().kind == "sym" and self.peek().text == "/":
                 if self.coefficient:
                     raise ParseError("digitsum coefficient polynomial must have integer "
@@ -382,7 +402,7 @@ class _Parser:
                     raise ParseError("expected an integer denominator",
                                      den_tok.line, den_tok.col)
                 self.next()
-                den = sign * int(den_tok.text)
+                den = sign * _integer(den_tok.text, den_tok)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.line, den_tok.col)
                 return RatConst(value, den), 1
@@ -433,7 +453,7 @@ class _Parser:
         name = tok.text
         if not (name.startswith("x") and name[1:].isdigit()):
             raise ParseError(f"unknown identifier {name!r}", tok.line, tok.col)
-        index = int(name[1:])
+        index = _integer(name[1:], tok)
         if not 1 <= index <= self.arity:
             raise ParseError(
                 f"variable {name} out of range for arity {self.arity}",
@@ -483,52 +503,100 @@ def funcdef_from_json(text: str) -> FuncDef:
 # Evaluation
 
 
+def _failing(error: type, message: str, *children: Callable) -> Callable:
+    """A compiled node that evaluates its children left to right, then raises."""
+
+    def call(xs):
+        for child in children:
+            child(xs)
+        raise error(message)
+
+    return call
+
+
+def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]:
+    """The expression as a function of the coordinate residues, and its precision.
+
+    Inputs carry n digits; each node's precision is n minus the divp cost on
+    its path, so every modulus is fixed here. A node may return any integer
+    congruent to its value mod p^precision: ring operations keep that
+    congruence, and a divp's check and shift only read digits below it.
+    A node whose evaluation must fail raises when called, never here, so the
+    first failure in left-to-right order wins as in a walk of the tree.
+    """
+    match expr:
+        case IntConst(value=v):
+            value = v % p**n
+            return (lambda xs: value), n
+        case RatConst(numerator=a, denominator=b):
+            try:
+                value = from_rational(a, b, p, n).residue
+            except (ZeroDivisionError, InexactDivisionError) as exc:
+                return _failing(type(exc), str(exc)), n
+            return (lambda xs: value), n
+        case Var(index=k) | DigitSum(var_index=k) if k > arity:
+            return _failing(ValueError, f"expression uses x{k} but the point has arity {arity}"), n
+        case Var(index=k):
+            return itemgetter(k - 1), n
+        case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b):
+            (fa, na), (fb, nb) = _compile(a, p, n, arity), _compile(b, p, n, arity)
+            if isinstance(expr, Add):
+                return (lambda xs: fa(xs) + fb(xs)), min(na, nb)
+            if isinstance(expr, Sub):
+                return (lambda xs: fa(xs) - fb(xs)), min(na, nb)
+            modulus = p ** min(na, nb)
+            return (lambda xs: fa(xs) * fb(xs) % modulus), min(na, nb)
+        case Pow(base=b, exponent=e):
+            fb, nb = _compile(b, p, n, arity)
+            modulus = p**nb
+            return (lambda xs: pow(fb(xs), e, modulus)), nb
+        case DivP(operand=c, exponent=e):
+            fc, nc = _compile(c, p, n, arity)
+            if e < 0:
+                return _failing(ValueError, f"exponent must be >= 0, got {e}", fc), nc
+            check, shift = p ** min(e, nc), p**e
+
+            def divp(xs):
+                r = fc(xs)
+                if r % check:
+                    raise InexactDivisionError(f"value is not divisible by p^{e} (p={p})")
+                if nc <= e:
+                    raise PrecisionExhaustedError(
+                        f"dividing by p^{e} leaves no known digits (precision {nc})")
+                return r // shift
+
+            return divp, max(nc - e, 1)
+        case DigitSum(var_index=k, coeffs=cs, exponent=e):
+            coordinate, modulus = itemgetter(k - 1), p**n
+            weights = [p**j * _poly_eval(cs, j) % modulus for j in range(n)]
+
+            def digitsum(xs):
+                digits = _digit_list(coordinate(xs), p, n)
+                powers = {d: pow(d, e, modulus) for d in set(digits)}
+                return sum(map(mul, weights, map(powers.__getitem__, digits)))
+
+            return digitsum, n
+    return _failing(TypeError, f"not an expression node: {expr!r}"), n
+
+
+_last: tuple = (None,) * 6  # (expr, p, N, arity, compiled, precision) of the latest compile
+
+
 def evaluate(expr: FuncExpr, point: PadicPoint) -> PadicInt:
     """Value of the expression at a point, with worst-case precision tracking.
 
     Each divp on the evaluation path costs its exponent in digits; joins
-    (binary operations) keep the minimum of the branch precisions.
+    (binary operations) keep the minimum of the branch precisions. Only the
+    latest compiled form is kept, per expression object and (p, N, arity),
+    so no earlier expression stays alive; racing callers at worst recompile.
     """
-    p = point.prime
-    match expr:
-        case IntConst(value=v):
-            return from_rational(v, 1, p, point.precision)
-        case RatConst(numerator=a, denominator=b):
-            return from_rational(a, b, p, point.precision)
-        case Var(index=k):
-            if k > point.arity:
-                raise ValueError(
-                    f"expression uses x{k} but the point has arity {point.arity}"
-                )
-            return point.coords[k - 1]
-        case Add(left=a, right=b):
-            return evaluate(a, point) + evaluate(b, point)
-        case Sub(left=a, right=b):
-            return evaluate(a, point) - evaluate(b, point)
-        case Mul(left=a, right=b):
-            return evaluate(a, point) * evaluate(b, point)
-        case Pow(base=b, exponent=e):
-            v = evaluate(b, point)
-            return _from_residue(
-                pow(v.to_integer(), e, p**v.precision), p, v.precision
-            )
-        case DivP(operand=c, exponent=e):
-            return evaluate(c, point).exact_div_p(e)
-        case DigitSum(var_index=k, coeffs=cs, exponent=e):
-            if k > point.arity:
-                raise ValueError(
-                    f"expression uses x{k} but the point has arity {point.arity}"
-                )
-            x = point.coords[k - 1]
-            digits = x.digits
-            digit_power = {d: pow(d, e, p**x.precision) for d in set(digits)}
-            total = 0
-            power = 1
-            for i, d in enumerate(digits):
-                total += power * _poly_eval(cs, i) * digit_power[d]
-                power *= p
-            return _from_residue(total, p, x.precision)
-    raise TypeError(f"not an expression node: {expr!r}")
+    global _last
+    coords = point.coords
+    p, n = coords[0].prime, coords[0].precision
+    last = _last
+    if not (last[0] is expr and last[1] == p and last[2] == n and last[3] == len(coords)):
+        last = _last = (expr, p, n, len(coords), *_compile(expr, p, n, len(coords)))
+    return _from_residue(last[4](tuple([x.residue for x in coords])), p, last[5])
 
 
 def divp_budget(expr: FuncExpr) -> int:

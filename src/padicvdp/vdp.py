@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -28,7 +28,9 @@ from .core import (
     PadicInt,
     PadicPoint,
     PrecisionExhaustedError,
+    _from_residue,
     floor_log_p,
+    from_integer,
     initial_part,
     is_prime,
     m_star,
@@ -294,19 +296,25 @@ def vdp_expand_multi(
             f"expansion needs {prime}^{level * arity} evaluations, budget is {budget}"
         )
     side = prime**level
-    grid = [
-        F(PadicPoint.from_integers(m, prime, precision))
-        for m in product(range(side), repeat=arity)
-    ]
+    axis_values = [from_integer(v, prime, precision) for v in range(side)]
+    grid, known = [], []  # residues of F and their precisions
+    for m in product(axis_values, repeat=arity):
+        value = F(PadicPoint(m))
+        if value.prime != prime:
+            raise ValueError("coefficient prime does not match table prime")
+        grid.append(value.residue)
+        known.append(value.precision)
     # how far stripping the top digit moves an entry; 0 where m_i < p
     drop = [v - m_star(v, prime) if v >= prime else 0 for v in range(side)]
     for axis in range(arity):
         stride = side ** (arity - 1 - axis)
         for pos in range(size - 1, -1, -1):
             d = drop[pos // stride % side]
-            if d:
-                grid[pos] = grid[pos] - grid[pos - d * stride]
-    table = VdpTable(prime=prime, level=level, coeffs=tuple(grid), arity=arity)
+            if d:  # unreduced: each entry's final modulus divides every one it met
+                grid[pos] -= grid[pos - d * stride]
+                known[pos] = min(known[pos], known[pos - d * stride])
+    coeffs = tuple(map(_from_residue, grid, repeat(prime), known))
+    table = VdpTable(prime=prime, level=level, coeffs=coeffs, arity=arity)
     if table.precision < level:
         raise PrecisionExhaustedError(
             f"expansion to level {level} kept only {table.precision} digits"

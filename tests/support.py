@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from padicvdp.core import DEFAULT_BUDGET, PadicInt, PadicPoint, m_star
+from padicvdp.core import (
+    DEFAULT_BUDGET,
+    PadicInt,
+    PadicPoint,
+    _from_residue,
+    from_rational,
+    m_star,
+)
 from padicvdp.dsl import (
     Add,
     DigitSum,
@@ -24,6 +31,7 @@ from padicvdp.dsl import (
     RatConst,
     Sub,
     Var,
+    _poly_eval,
     parse,
 )
 from padicvdp.hensel import roots_mod_uni
@@ -262,6 +270,56 @@ def eval_int_model(expr, values: tuple[int, ...], p: int, n: int) -> int:
         raise AssertionError(f"not polynomial-only: {node!r}")
 
     return go(expr) % p**n
+
+
+def evaluate_tree(expr, point: PadicPoint) -> PadicInt:
+    """Value of the expression at a point, with worst-case precision tracking.
+
+    The library's evaluator before compilation: it walks the tree at every
+    point and builds one PadicInt per node. Each divp on the evaluation path
+    costs its exponent in digits; joins (binary operations) keep the minimum
+    of the branch precisions.
+    """
+    p = point.prime
+    match expr:
+        case IntConst(value=v):
+            return from_rational(v, 1, p, point.precision)
+        case RatConst(numerator=a, denominator=b):
+            return from_rational(a, b, p, point.precision)
+        case Var(index=k):
+            if k > point.arity:
+                raise ValueError(
+                    f"expression uses x{k} but the point has arity {point.arity}"
+                )
+            return point.coords[k - 1]
+        case Add(left=a, right=b):
+            return evaluate_tree(a, point) + evaluate_tree(b, point)
+        case Sub(left=a, right=b):
+            return evaluate_tree(a, point) - evaluate_tree(b, point)
+        case Mul(left=a, right=b):
+            return evaluate_tree(a, point) * evaluate_tree(b, point)
+        case Pow(base=b, exponent=e):
+            v = evaluate_tree(b, point)
+            return _from_residue(
+                pow(v.to_integer(), e, p**v.precision), p, v.precision
+            )
+        case DivP(operand=c, exponent=e):
+            return evaluate_tree(c, point).exact_div_p(e)
+        case DigitSum(var_index=k, coeffs=cs, exponent=e):
+            if k > point.arity:
+                raise ValueError(
+                    f"expression uses x{k} but the point has arity {point.arity}"
+                )
+            x = point.coords[k - 1]
+            digits = x.digits
+            digit_power = {d: pow(d, e, p**x.precision) for d in set(digits)}
+            total = 0
+            power = 1
+            for i, d in enumerate(digits):
+                total += power * _poly_eval(cs, i) * digit_power[d]
+                power *= p
+            return _from_residue(total, p, x.precision)
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def random_total_expr(rng: random.Random, arity: int, prime: int, depth: int = 3):

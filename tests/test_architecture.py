@@ -4,9 +4,13 @@ Other modules ask core's `vanishes_to` / `vanishing_scan`; a local prefix test
 or digit walk would bring back a precision rule of its own.
 """
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import padicvdp
+from padicvdp.core import PadicPoint
+from padicvdp.dsl import evaluate, parse
 
 PACKAGE = Path(padicvdp.__file__).parent
 
@@ -55,3 +59,21 @@ def test_digitsum_branch_is_the_only_digit_reader_in_evaluate():
         pattern = case.pattern
         digitsum = isinstance(pattern, ast.MatchClass) and ast.unparse(pattern.cls) == "DigitSum"
         assert not reads or digitsum, ast.unparse(pattern)
+
+
+def test_dsl_reads_no_digits_and_calls_no_divmod():
+    tree = ast.parse((PACKAGE / "dsl.py").read_text())
+    digits = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "digits"]
+    divmods = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "divmod"]
+    assert (digits, divmods) == ([], [])
+
+
+def test_the_compiled_form_of_an_earlier_expression_is_not_kept():
+    point = PadicPoint.from_integers((3,), 7, 4)
+    a = parse("x1^2 + digitsum(x1, i, 1)", 1)
+    evaluate(a, point)
+    evaluate(parse("x1 + 1", 1), point)
+    gone = weakref.ref(a)
+    del a
+    gc.collect()
+    assert gone() is None

@@ -424,6 +424,36 @@ class TestErrorsAndDeterminism:
         )
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("expr, column", [
+        ("x1^" + "9" * 5000, 4),
+        ("digitsum(x1, " + "9" * 5000 + ", 1)", 14),
+        ("x" + "1" * 5000, 1),
+        ("x1 + 1/" + "3" * 5000, 8),
+    ])
+    def test_integer_literal_past_the_digit_limit_is_a_parse_error(self, capsys, expr, column):
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, "eval", "--prime", "7", "--expr", expr, "--point", "1")
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "parse-error"
+        assert f"line 1, column {column}" in error["message"]
+
+    @pytest.mark.parametrize("coefficient", [
+        "(((2^100)^100)^100)^100", "((2^100)^100)^100", "(1+i)^60 * (2^100)^100",
+    ])
+    def test_digitsum_coefficient_too_large_in_bits_is_a_parse_error(self, capsys, coefficient):
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "eval", "--prime", "7", "--expr", f"x1 + digitsum(x1, {coefficient}, 1)",
+            "--point", "1",
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "parse-error"
+        assert "size in bits" in error["message"] and "line 1, column 6" in error["message"]
+
     @pytest.mark.parametrize("exponent", ["10000000", "100000000"])
     def test_huge_digitsum_exponent_evaluates_quickly(self, capsys, exponent):
         started = time.monotonic()

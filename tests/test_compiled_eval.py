@@ -1,0 +1,102 @@
+"""The compiled evaluator agrees with a walk of the tree, errors included.
+
+`evaluate` compiles an expression into closures over plain residues; the
+oracle `evaluate_tree` walks the tree and builds a PadicInt per node. Both
+must give the same (precision, residue), or raise the same class with the
+same message, the first error in left-to-right order winning.
+"""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padicvdp.core import PadicPoint
+from padicvdp.dsl import (
+    Add,
+    DigitSum,
+    DivP,
+    IntConst,
+    Mul,
+    Pow,
+    RatConst,
+    Sub,
+    Var,
+    evaluate,
+)
+
+from support import evaluate_tree
+
+MAX_ARITY = 3
+
+
+@st.composite
+def trees(draw, p: int, arity: int, depth: int = 4):
+    """Random hand-built trees of every node kind, so out-of-range parts occur too."""
+    kinds = ["int", "rat", "var", "var", "digitsum"]
+    kind = draw(st.sampled_from(kinds + (["+", "-", "*", "^", "divp", "exact"] if depth else [])))
+    # mostly in range; 0 is the last coordinate, as tuple[-1] is
+    index = st.one_of(st.integers(1, arity), st.integers(1, arity), st.sampled_from([0, arity + 1]))
+    if kind == "int":
+        return IntConst(draw(st.integers(-p**9, p**9)))
+    if kind == "rat":
+        return RatConst(draw(st.integers(-50, 50)),
+                        draw(st.sampled_from([1, 2, 3, 5, 7, 9, 10, -4, p, 2 * p, 0])))
+    if kind == "var":
+        return Var(draw(index))
+    if kind == "digitsum":
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+        return DigitSum(draw(index), tuple(coeffs), draw(st.integers(1, 3)))
+    child = trees(p, arity, depth - 1)
+    if kind == "^":
+        return Pow(draw(child), draw(st.integers(0, 4)))
+    if kind == "divp":
+        return DivP(draw(child), draw(st.integers(0, 10)))
+    if kind == "exact":  # a multiple of p^e, so that dividing it by p^e is exact
+        e = draw(st.integers(0, 4))
+        return DivP(Mul(IntConst(draw(st.integers(-3, 3)) * p**e), draw(child)), e)
+    return {"+": Add, "-": Sub, "*": Mul}[kind](draw(child), draw(child))
+
+
+def outcome(evaluator, expr, point):
+    try:
+        value = evaluator(expr, point)
+    except Exception as exc:  # parity covers the error as well as the value
+        return type(exc), str(exc)
+    return value.precision, value.residue
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_compiled_evaluation_matches_the_tree_walk(p, data):
+    n = data.draw(st.integers(1, 8))
+    arity = data.draw(st.integers(1, MAX_ARITY))
+    expr = data.draw(trees(p, arity))
+    values = data.draw(st.lists(st.integers(0, p**n - 1), min_size=arity, max_size=arity))
+    point = PadicPoint.from_integers(values, p, n)
+    assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point)
+
+
+def test_hand_built_corner_cases_match_the_tree_walk():
+    p, n = 7, 3
+    point = PadicPoint.from_integers((7**2, 3), p, n)
+    cases = [
+        DivP(Var(1), 0),
+        RatConst(1, p),
+        RatConst(1, 0),
+        Var(3),
+        DigitSum(4, (1,), 1),
+        Add(DivP(Var(2), 1), RatConst(1, p)),  # the inexact divp on the left wins
+        Add(RatConst(1, p), DivP(Var(2), 1)),
+        DivP(Var(2), 5),  # inexact is raised before "leaves no known digits"
+        DivP(Var(1), 3),
+        DivP(Mul(IntConst(p**3), Var(2)), 3),
+        DivP(Var(1), -1),
+        "not a node",
+    ]
+    for expr in cases:
+        assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point), expr
+
+
+def test_the_last_compiled_form_follows_the_point():
+    expr = Add(Var(1), DivP(Mul(IntConst(49), Var(1)), 2))
+    for p, n, values in [(7, 4, (5,)), (7, 6, (5,)), (3, 4, (5,)), (7, 4, (5, 1)), (7, 4, (5,))]:
+        point = PadicPoint.from_integers(values, p, n)
+        assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point)

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -169,6 +170,27 @@ class TestDigitsumCoefficient:
         binomials = parse("digitsum(x1, (1 + i)^100, 1)", 1).coeffs
         assert binomials[:3] == (1, 100, 4950) and len(binomials) == 101
         assert parse("digitsum(x1, i^50 * i^50, 1)", 1).coeffs[-1] == 1
+
+    def test_coefficient_sizes_under_the_bit_limit_are_accepted(self):
+        assert parse("digitsum(x1, 2^100, 1)", 1).coeffs == (2**100,)
+        assert parse("digitsum(x1, (2^100)^100, 1)", 1).coeffs == (2**10000,)
+        assert parse("digitsum(x1, (1 + i)^100 * 3, 1)", 1).coeffs[50] == 3 * math.comb(100, 50)
+
+    @pytest.mark.parametrize("coefficient", [
+        "((2^100)^100)^100", "(2^100)^100 * 2", "(2^100 + i)^100", "((2^100)^50)^2 * 2^100",
+    ])
+    def test_coefficient_above_the_bit_limit_is_refused_at_the_keyword(self, coefficient):
+        with pytest.raises(ParseError, match="size in bits above") as info:
+            parse(f"x1 + digitsum(x1, {coefficient}, 1)", 1)
+        assert (info.value.line, info.value.col) == (1, 6)
+
+    @pytest.mark.parametrize("text, column", [
+        ("x1^" + "7" * 5000, 4), ("x" + "2" * 5000, 1), ("x1^\u00b2", 4),
+    ])
+    def test_unreadable_integer_literal_is_a_parse_error_at_its_token(self, text, column):
+        with pytest.raises(ParseError, match="too long or not decimal") as info:
+            parse(text, 1)
+        assert (info.value.line, info.value.col) == (1, column)
 
     @pytest.mark.parametrize("coefficient, column, message", [
         ("1 + x1", 18, "unexpected token 'x1' in digit coefficient polynomial"),

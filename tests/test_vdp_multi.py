@@ -184,6 +184,24 @@ class TestExpandAndEval:
             for m in table.indices():
                 assert table.coefficient(m) == vdp_coeff_multi_rec(F, m, 2, 6)
 
+    def test_each_coefficient_keeps_the_least_precision_of_its_corners(self):
+        # an evaluator whose precision varies by point: the residue passes must
+        # track each entry's precision, as PadicInt subtraction does
+        p, n = 3, 6
+
+        def F(pt):
+            a, b = pt.to_integers()
+            return from_integer((a * a + 5 * b) % p**n, p, n).truncate(n - (a + 2 * b) % 4)
+
+        table = vdp_expand_multi(F, 2, 2, p, n)
+        assert len({c.precision for c in table.coeffs}) > 1
+        for m in table.indices():
+            assert table.coefficient(m) == vdp_coeff_multi_ie(F, m, p, n)
+
+    def test_evaluator_at_another_prime_is_refused(self):
+        with pytest.raises(ValueError, match="prime"):
+            vdp_expand_multi(lambda pt: from_integer(1, 5, pt.precision), 1, 2, 3, 4)
+
     def test_eval_needs_precision(self):
         table = vdp_expand_multi(dsl_fn("x1 + x2", 2), 2, 2, 3, 5)
         from padicvdp.core import PrecisionExhaustedError
