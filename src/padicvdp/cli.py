@@ -5,8 +5,8 @@ JSON by default (use --format text for a human summary); runs with the
 same configuration, seed included, produce byte-identical output.
 
 Exit codes: 0 success, 1 negative verdict (a violation or failed lift,
-still with valid output), 2 configuration error, 3 evaluation error,
-4 precision exhausted.
+still with valid output), 2 configuration error, 3 evaluation error
+(category "internal" for an unexpected failure), 4 precision exhausted.
 """
 from __future__ import annotations
 
@@ -455,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate_common(args)
         result, config, code = _DISPATCH[args.command](args)
+        if args.output is not None:
+            artifact = result.get("table", result)
+            args.output.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     except ParseError as exc:
         return _fail(EXIT_CONFIG, "parse-error", str(exc))
     except (InvalidPrimeError, EnumerationBudgetError, PreconditionError) as exc:
@@ -465,11 +468,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_PRECISION, "precision", str(exc))
     except PadicError as exc:
         return _fail(EXIT_EVALUATION, "evaluation", str(exc))
+    except Exception as exc:  # a bug, not a verdict: never exit 1 or with a traceback
+        return _fail(EXIT_EVALUATION, "internal", f"{type(exc).__name__}: {exc}")
 
     payload = {"command": args.command, "config": config, "result": result}
-    if args.output is not None:
-        artifact = result.get("table", result)
-        args.output.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -210,7 +210,7 @@ class PadicInt:
         """Partial sum x_0 + x_1 p + ... + x_k p^k as an exact integer."""
         if not 0 <= k < self.precision:
             raise PrecisionExhaustedError(
-                f"standard sequence index {k} outside known precision {self.precision}"
+                f"standard sequence index {k} needs {k + 1} digits, known {self.precision}"
             )
         return self.residue % self.prime ** (k + 1)
 

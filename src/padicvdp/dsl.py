@@ -479,20 +479,21 @@ def parse(text: str, arity: int) -> FuncExpr:
 
 
 def parse_funcdef(data: dict) -> FuncDef:
-    """Build a FuncDef from its JSON object form."""
+    """Build a FuncDef from its JSON object form; field types are checked, never converted."""
     try:
-        arity = int(data["arity"])
-        body_text = data["body"]
+        arity, body_text, alpha = data["arity"], data["body"], data.get("alpha")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed function definition: {exc}") from exc
-    alpha = data.get("alpha")
-    body = parse(body_text, arity)
-    return FuncDef(
-        arity=arity,
-        body=body,
-        alpha=None if alpha is None else tuple(int(a) for a in alpha),
-        source=body_text,
-    )
+    if type(arity) is not int:
+        raise ValueError(f"function field arity must be an integer, got {arity!r}")
+    if not isinstance(body_text, str):
+        raise ValueError(f"function field body must be a string, got {body_text!r}")
+    if alpha is not None:
+        try:
+            alpha = weight(alpha, arity)
+        except ValueError as exc:
+            raise ValueError(f"function field alpha: {exc}") from exc
+    return FuncDef(arity=arity, body=parse(body_text, arity), alpha=alpha, source=body_text)
 
 
 def funcdef_from_json(text: str) -> FuncDef:
@@ -534,7 +535,7 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]
             except (ZeroDivisionError, InexactDivisionError) as exc:
                 return _failing(type(exc), str(exc)), n
             return (lambda xs: value), n
-        case Var(index=k) | DigitSum(var_index=k) if k > arity:
+        case Var(index=k) | DigitSum(var_index=k) if not 1 <= k <= arity:
             return _failing(ValueError, f"expression uses x{k} but the point has arity {arity}"), n
         case Var(index=k):
             return itemgetter(k - 1), n

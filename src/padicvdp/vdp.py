@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from functools import cached_property
+from itertools import chain, product, repeat
+from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -33,7 +35,6 @@ from .core import (
     from_integer,
     initial_part,
     is_prime,
-    m_star,
     power_within,
     vanishing_scan,
     weight,
@@ -48,7 +49,6 @@ __all__ = [
     "index_set",
     "e_m",
     "e_multi",
-    "initial_parts_below",
     "VdpTable",
     "vdp_expand_uni",
     "vdp_expand_multi",
@@ -109,18 +109,6 @@ def e_multi(m: Sequence[int], x: PadicPoint) -> int:
 def e_m(m: int, x: PadicInt) -> int:
     """Basis indicator: 1 when m is an initial part of x, else 0."""
     return e_multi((m,), PadicPoint((x,)))
-
-
-def initial_parts_below(x: PadicInt, level: int) -> list[int]:
-    """Distinct standard-sequence values of x below p^level, ascending."""
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    if x.precision < level:
-        raise PrecisionExhaustedError(
-            f"listing initial parts below p^{level} needs {level} digits, "
-            f"value has {x.precision}"
-        )
-    return sorted({x.standard_seq(k) for k in range(level)})
 
 
 def _check_count(prime: int, exponent: int, count: int, what: str) -> None:
@@ -212,6 +200,13 @@ class VdpTable:
         best = min(c.ord() for c in self.coeffs)
         return None if best == math.inf else int(best)
 
+    @cached_property
+    def _grid(self) -> tuple[list[int], list[int]]:
+        """Residues and precisions of the partial sums on the level grid, in storage order."""
+        grid, known = [c.residue for c in self.coeffs], [c.precision for c in self.coeffs]
+        _yates(grid, known, self.prime, self.level, self.arity, +1)
+        return grid, known
+
     def function(self) -> UniEvaluator | PointEvaluator:
         """The table as an evaluator: on values at arity 1, on points otherwise."""
         if self.arity == 1:
@@ -270,18 +265,32 @@ class VdpTable:
         return table
 
 
+def _yates(grid: list[int], known: list[int], p: int, level: int, arity: int, sign: int) -> None:
+    """Values on the level grid to coefficients (sign -1) or back (+1), in place.
+
+    Per axis, g(m) += sign * g(m with m_i -> m_i*) for m_i >= p. With that axis outermost and
+    (t p^j + r)* = r, each (j, t) is one slice operation against the block below p^j, which
+    still holds values going down and partial sums going up. Each entry keeps the least
+    precision it met; residues stay unreduced, as its final modulus divides every one it met.
+    """
+    rest = len(grid) // p**level  # entries per index of the outermost axis
+    op = add if sign > 0 else sub
+    for _ in range(arity):
+        for j in range(1, level) if sign > 0 else range(level - 1, 0, -1):
+            width = p**j * rest
+            for t in range(1, p):
+                block = slice(t * width, (t + 1) * width)
+                grid[block] = map(op, grid[block], grid[:width])
+                known[block] = map(min, known[block], known[:width])
+        for g in grid, known:  # rotate: the next axis becomes the outermost
+            g[:] = chain.from_iterable([g[r::rest] for r in range(rest)])
+
+
 def vdp_expand_multi(
     F: PointEvaluator, level: int, arity: int, prime: int, precision: int,
     budget: int = DEFAULT_BUDGET,
 ) -> VdpTable:
-    """All coefficients over [0, p^level)^arity, from p^(level * arity) evaluations.
-
-    The grid of values F(m) becomes the table in place, by one difference
-    pass per axis (Yates's algorithm): g(m) <- g(m) - g(m with m_i -> m_i*)
-    wherever m_i >= p. Each pass walks the grid in descending order, so the
-    entry it subtracts has not yet changed in that pass. The passes commute
-    and compose to the alternating sum over starred corners.
-    """
+    """All coefficients over [0, p^level)^arity, from p^(level * arity) evaluations."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     if arity < 1:
@@ -290,13 +299,11 @@ def vdp_expand_multi(
         raise PrecisionExhaustedError(
             f"expanding to level {level} needs precision >= {level}, got {precision}"
         )
-    size = power_within(prime, level * arity, budget)
-    if size is None:
+    if power_within(prime, level * arity, budget) is None:
         raise EnumerationBudgetError(
             f"expansion needs {prime}^{level * arity} evaluations, budget is {budget}"
         )
-    side = prime**level
-    axis_values = [from_integer(v, prime, precision) for v in range(side)]
+    axis_values = [from_integer(v, prime, precision) for v in range(prime**level)]
     grid, known = [], []  # residues of F and their precisions
     for m in product(axis_values, repeat=arity):
         value = F(PadicPoint(m))
@@ -304,15 +311,7 @@ def vdp_expand_multi(
             raise ValueError("coefficient prime does not match table prime")
         grid.append(value.residue)
         known.append(value.precision)
-    # how far stripping the top digit moves an entry; 0 where m_i < p
-    drop = [v - m_star(v, prime) if v >= prime else 0 for v in range(side)]
-    for axis in range(arity):
-        stride = side ** (arity - 1 - axis)
-        for pos in range(size - 1, -1, -1):
-            d = drop[pos // stride % side]
-            if d:  # unreduced: each entry's final modulus divides every one it met
-                grid[pos] -= grid[pos - d * stride]
-                known[pos] = min(known[pos], known[pos - d * stride])
+    _yates(grid, known, prime, level, arity, -1)
     coeffs = tuple(map(_from_residue, grid, repeat(prime), known))
     table = VdpTable(prime=prime, level=level, coeffs=coeffs, arity=arity)
     if table.precision < level:
@@ -330,14 +329,14 @@ def vdp_expand_uni(
 
 
 def vdp_eval_multi(table: VdpTable, x: PadicPoint) -> PadicInt:
-    """Partial sum at x: coefficients over all m with every m_i initial in x_i."""
+    """Partial sum at x: the grid value at x mod p^K, whose starring chain is x's initial parts."""
     if x.arity != table.arity:
         raise ValueError(f"point arity {x.arity}, table arity {table.arity}")
     if x.prime != table.prime:
         raise ValueError("point prime does not match table prime")
-    per_coord = [initial_parts_below(c, table.level) for c in x.coords]
-    first, *rest = (table.coefficient(m) for m in product(*per_coord))
-    return sum(rest, first)
+    pos = table.flat_index([c.standard_seq(table.level - 1) for c in x.coords])
+    grid, known = table._grid
+    return _from_residue(grid[pos], table.prime, known[pos])
 
 
 def vdp_eval_uni(table: VdpTable, x: PadicInt) -> PadicInt:

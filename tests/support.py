@@ -223,6 +223,22 @@ def table_eval_int(coeffs: list[int], p: int, level: int, x: int) -> int:
     return sum(coeffs[m] for m in initial_parts_int(x, p, level))
 
 
+def initial_part_positions_int(x: Sequence[int], p: int, level: int) -> list[int]:
+    """Row-major table positions of the m with every m_i an initial part of x_i.
+
+    The partial sum of a table at the integer point x is the sum of its
+    coefficients at these positions.
+    """
+    side = p**level
+    positions = []
+    for m in product(*(initial_parts_int(v, p, level) for v in x)):
+        pos = 0
+        for v in m:
+            pos = pos * side + v
+        positions.append(pos)
+    return positions
+
+
 def pairwise_lipschitz_int(coeffs: list[int], p: int, level: int, alpha) -> bool:
     """All-pairs check of |F(x) - F(y)| <= max_i p^alpha_i |x_i - y_i| on the level grid.
 
@@ -287,7 +303,7 @@ def evaluate_tree(expr, point: PadicPoint) -> PadicInt:
         case RatConst(numerator=a, denominator=b):
             return from_rational(a, b, p, point.precision)
         case Var(index=k):
-            if k > point.arity:
+            if not 1 <= k <= point.arity:
                 raise ValueError(
                     f"expression uses x{k} but the point has arity {point.arity}"
                 )
@@ -306,7 +322,7 @@ def evaluate_tree(expr, point: PadicPoint) -> PadicInt:
         case DivP(operand=c, exponent=e):
             return evaluate_tree(c, point).exact_div_p(e)
         case DigitSum(var_index=k, coeffs=cs, exponent=e):
-            if k > point.arity:
+            if not 1 <= k <= point.arity:
                 raise ValueError(
                     f"expression uses x{k} but the point has arity {point.arity}"
                 )

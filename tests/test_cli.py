@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import padicvdp
+from padicvdp import cli
 from padicvdp.cli import main
 from padicvdp.vdp import VdpTable, normalize_alpha
 
@@ -154,6 +155,18 @@ class TestLipschitz:
         )
         assert code == 2
         assert "alpha" in err
+
+    def test_projection_tier_names_its_witness(self, capsys):
+        # (x1 - x1^7)/7 is not 1-Lipschitz in x1, whatever x2 is fixed at
+        code, payload = run_json(
+            capsys, "lipschitz", "--prime", "7", "--vars", "2", "--expr",
+            "divp(x1 - x1^7, 1) + x2", "--alpha", "0,0", "--level", "2",
+            "--precision", "8", "--samples", "50",
+        )
+        assert code == 1
+        tier = payload["result"]["tiers"]["projection-sampled"]
+        assert tier["violated"]
+        assert tier["witness"] == {"coordinate": 1, "fixed": [25853374], "violation": 7}
 
 
 class TestTableValidation:
@@ -553,6 +566,85 @@ class TestErrorsAndDeterminism:
         )
         assert code == 0
         assert "residues" in out and "{" not in out
+
+
+BAD_FUNCTION_FILES = {
+    "body-int": ({"arity": 1, "body": 5}, "body"),
+    "body-list": ({"arity": 1, "body": ["x1"]}, "body"),
+    "arity-bool": ({"arity": True, "body": "x1"}, "arity"),
+    "arity-float": ({"arity": 1.7, "body": "x1"}, "arity"),
+    "alpha-float": ({"arity": 1, "body": "x1", "alpha": [1.9]}, "alpha"),
+    "alpha-bool": ({"arity": 1, "body": "x1", "alpha": [True]}, "alpha"),
+}
+
+
+class TestFunctionFiles:
+    """A function file's fields are checked, never converted."""
+
+    @pytest.mark.parametrize("case", BAD_FUNCTION_FILES.values(), ids=BAD_FUNCTION_FILES.keys())
+    def test_a_field_of_the_wrong_type_is_a_config_error(self, capsys, tmp_path, case):
+        data, field = case
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "eval", "--prime", "7", "--func", str(path), "--point", "1",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "config"
+        assert f"field {field}" in error["message"]
+
+    def test_a_bare_integer_alpha_is_a_weight_of_arity_one(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"arity": 1, "body": "x1", "alpha": 1}))
+        code, payload = run_json(
+            capsys, "lift", "--prime", "7", "--func", str(path), "--start", "0",
+        )
+        assert code == 0
+        assert payload["config"]["alpha"] == [1]
+
+
+CONFIG_ERRORS = {
+    "negative-point": (["eval", "--prime", "7", "--expr", "x1", "--point", "-1"], ">= 0"),
+    "start-arity": (["lift", "--prime", "7", "--vars", "2", "--expr", "x1 + x2",
+                     "--start", "0"], "--start has 1 entries"),
+    "residue-level-arity": (["wellposed", "--prime", "7", "--vars", "2", "--expr", "x1 + x2",
+                             "--residue-level", "2"], "one-variable"),
+    "table-prime": (["lipschitz", "--prime", "5", "--table", "{table}", "--alpha", "0"],
+                    "table prime 7 does not match --prime 5"),
+    "no-function": (["eval", "--prime", "7", "--point", "1"], "one of --expr or --func"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_argument_mismatches_are_config_errors(capsys, tmp_path, case):
+    argv, message = case
+    table = tmp_path / "t7.json"
+    table.write_text(json.dumps({"p": 7, "K": 1, "N": 2, "B": [[0, 0]] * 7}))
+    code, out, err = run_cli(capsys, *(a.replace("{table}", str(table)) for a in argv))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "config"
+    assert message in error["message"]
+
+
+def test_an_unwritable_output_path_is_a_config_error(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "expand", "--prime", "7", "--expr", "x1", "--level", "1",
+        "--output", str(tmp_path / "missing" / "table.json"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["category"] == "config"
+
+
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "roots", broken)
+    code, out, err = run_cli(capsys, "roots", "--prime", "7", "--expr", "x1")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": {"category": "internal", "message": "RuntimeError: boom"}}
 
 
 def test_module_entry_point():

@@ -32,7 +32,7 @@ def trees(draw, p: int, arity: int, depth: int = 4):
     """Random hand-built trees of every node kind, so out-of-range parts occur too."""
     kinds = ["int", "rat", "var", "var", "digitsum"]
     kind = draw(st.sampled_from(kinds + (["+", "-", "*", "^", "divp", "exact"] if depth else [])))
-    # mostly in range; 0 is the last coordinate, as tuple[-1] is
+    # mostly in range; 0 and arity + 1 must both raise
     index = st.one_of(st.integers(1, arity), st.integers(1, arity), st.sampled_from([0, arity + 1]))
     if kind == "int":
         return IntConst(draw(st.integers(-p**9, p**9)))
@@ -93,6 +93,18 @@ def test_hand_built_corner_cases_match_the_tree_walk():
     ]
     for expr in cases:
         assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point), expr
+
+
+def test_coordinates_outside_one_to_arity_raise_in_order():
+    # hand-built nodes only: the parser never builds x0 or a negative index
+    p, n = 7, 3
+    point = PadicPoint.from_integers((2, 3), p, n)
+    for expr, index in [(Var(0), 0), (DigitSum(0, (1,), 1), 0), (Var(-5), -5)]:
+        message = f"expression uses x{index} but the point has arity 2"
+        assert outcome(evaluate, expr, point) == (ValueError, message)
+        first = outcome(evaluate, RatConst(1, p), point)  # a denominator divisible by p
+        assert outcome(evaluate, Add(RatConst(1, p), expr), point) == first
+        assert outcome(evaluate, Add(expr, RatConst(1, p)), point) == (ValueError, message)
 
 
 def test_the_last_compiled_form_follows_the_point():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicvdp.core import PadicPoint, from_integer, m_star
+from padicvdp import vdp
+from padicvdp.core import PadicPoint, PrecisionExhaustedError, from_integer, m_star
 from padicvdp.dsl import FuncDef, as_point_function, parse
 from padicvdp.vdp import (
     VdpTable,
@@ -23,6 +24,7 @@ from padicvdp.vdp import (
 )
 
 from support import (
+    initial_part_positions_int,
     pairwise_lipschitz_int,
     random_total_expr,
     val_mod,
@@ -208,6 +210,51 @@ class TestExpandAndEval:
 
         with pytest.raises(PrecisionExhaustedError):
             vdp_eval_multi(table, PadicPoint.from_integers((1, 1), 3, 1))
+
+
+@st.composite
+def tables_and_points(draw):
+    """A table over a grid of at most 1,000 entries, each with its own precision, and a point."""
+    arity = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5]))
+    level = draw(st.integers(1, max(k for k in (1, 2, 3) if p ** (k * arity) <= 1000)))
+    n, rng = draw(st.integers(1, 6)), random.Random(draw(st.integers(0, 2**32)))
+    coeffs = tuple(from_integer(rng.randrange(p**n), p, n).truncate(rng.randint(1, n))
+                   for _ in range(p ** (level * arity)))
+    precision = draw(st.integers(1, 6))
+    x = tuple(draw(st.integers(0, p**precision - 1)) for _ in range(arity))
+    return VdpTable(prime=p, level=level, coeffs=coeffs, arity=arity), x, precision
+
+
+class TestGridLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(tables_and_points())
+    def test_lookup_is_the_sum_over_initial_parts(self, case):
+        table, x, precision = case
+        point = PadicPoint.from_integers(x, table.prime, precision)
+        if precision < table.level:
+            with pytest.raises(PrecisionExhaustedError, match=f"needs {table.level} digits"):
+                vdp_eval_multi(table, point)
+            return
+        positions = initial_part_positions_int(x, table.prime, table.level)
+        chain = [table.coeffs[pos] for pos in positions]
+        known = min(c.precision for c in chain)
+        got = vdp_eval_multi(table, point)
+        assert got.precision == known
+        assert got.residue == sum(c.residue for c in chain) % table.prime**known
+
+    def test_the_grid_is_built_once_per_table(self, monkeypatch):
+        calls = []
+        yates = vdp._yates
+        monkeypatch.setattr(vdp, "_yates", lambda *args: calls.append(1) or yates(*args))
+        rng = random.Random(5)
+        p, level = 3, 2
+        coeffs = tuple(from_integer(rng.randrange(3**4), p, 4) for _ in range(p ** (2 * level)))
+        table = VdpTable(prime=p, level=level, coeffs=coeffs, arity=2)
+        F = table.function()
+        for _ in range(1000):
+            F(PadicPoint.from_integers((rng.randrange(81), rng.randrange(81)), p, 4))
+        assert len(calls) == 1
 
 
 class TestWeightedBound:

@@ -10,7 +10,6 @@ from padicvdp.vdp import (
     VdpTable,
     denormalize_alpha,
     e_m,
-    initial_parts_below,
     lip_alpha_check_uni,
     normalize_alpha,
     normalize_weighted,
@@ -62,11 +61,12 @@ class TestIndicator:
     def test_initial_parts_listing(self):
         # oracle: truncations of 21 = 0 + 1*3 + 2*9 are 0, 3, 21
         assert initial_parts_int(21, 3, 3) == [0, 3, 21]
-        assert initial_parts_below(from_integer(21, 3, 4), 3) == [0, 3, 21]
 
     def test_initial_parts_need_precision(self):
-        with pytest.raises(PrecisionExhaustedError):
-            initial_parts_below(from_integer(5, 3, 2), 3)
+        # a level-3 table reads three digits of the point; 5 carries two
+        table = random_table(random.Random(0), 3, 3, 4)
+        with pytest.raises(PrecisionExhaustedError, match="needs 3 digits, known 2"):
+            vdp_eval_uni(table, from_integer(5, 3, 2))
 
 
 class TestCoefficients:
