@@ -173,17 +173,16 @@ def _resolve_alpha(flag, defn: FuncDef | None, arity: int, default_zero: bool):
 def _validate_common(args) -> None:
     if args.budget < 1:
         raise ValueError(f"--budget must be >= 1, got {args.budget}")
-    # before is_prime, whose trial division a huge p would stall
-    if args.prime > args.budget:
-        raise EnumerationBudgetError(f"--prime {args.prime} exceeds budget {args.budget}")
+    for flag in ("prime", "precision", "samples"):  # before is_prime's trial division
+        value = getattr(args, flag, 0)
+        if value > args.budget:
+            raise EnumerationBudgetError(f"--{flag} {value} exceeds budget {args.budget}")
     if not is_prime(args.prime):
         raise InvalidPrimeError(f"--prime must be prime, got {args.prime}")
     if args.precision < 1:
         raise ValueError(f"--precision must be >= 1, got {args.precision}")
     if args.vars < 1:
         raise ValueError(f"--vars must be >= 1, got {args.vars}")
-    if getattr(args, "samples", 0) > args.budget:
-        raise EnumerationBudgetError(f"--samples {args.samples} exceeds budget {args.budget}")
 
 
 def _sup_norm_fields(ord_exponent: int | None, p: int) -> dict:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "PadicError",
@@ -287,13 +287,34 @@ class PadicInt:
         return cls(data["p"], digits)
 
 
+@lru_cache(maxsize=None)
+def _digit_walk(p: int) -> tuple[int, int, int, tuple | None]:
+    """(W, p^W, p^c, table[v] = the c digits of v < p^c), made on first use; no table past 2^8."""
+    c, table = 0, [()]
+    while p ** (c + 1) <= 2**8:  # c digits per lookup, the most with p^c <= 2^8
+        c, table = c + 1, [t + (d,) for d in range(p) for t in table]
+    width = 64 // max(c, 1) * max(c, 1)  # W: a block holds about 64 digits, whole chunks
+    return width, p**width, p ** max(c, 1), tuple(table) if c else None
+
+
+def _digit_blocks(residue: int, p: int) -> Iterator[list[int]]:
+    """Base-p digits of residue >= 0 in blocks of W, low first, up to the top nonzero chunk."""
+    width, base, chunk, table = _digit_walk(p)
+    while residue:
+        residue, block = divmod(residue, base)
+        digits = []
+        while block:
+            block, v = divmod(block, chunk)
+            digits += table[v] if table else (v,)
+        if residue:  # below the top, a block keeps all W digits
+            digits += [0] * (width - len(digits))
+        yield digits
+
+
 def _digit_list(residue: int, p: int, precision: int) -> list[int]:
-    """The first `precision` base-p digits of residue >= 0, low first."""
-    digits = []
-    for _ in range(precision):
-        residue, d = divmod(residue, p)
-        digits.append(d)
-    return digits
+    """The first `precision` base-p digits of 0 <= residue < p^precision, low first."""
+    digits = [d for block in _digit_blocks(residue, p) for d in block]
+    return digits[:precision] + [0] * (precision - len(digits))
 
 
 def _set(x: PadicInt, p: int, precision: int, residue: int) -> None:

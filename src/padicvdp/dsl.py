@@ -34,7 +34,8 @@ from .core import (
     PadicInt,
     PadicPoint,
     PrecisionExhaustedError,
-    _digit_list,
+    _digit_blocks,
+    _digit_walk,
     _from_residue,
     from_rational,
     weight,
@@ -515,6 +516,19 @@ def _failing(error: type, message: str, *children: Callable) -> Callable:
     return call
 
 
+class _DigitPowers(dict):
+    """d -> d^e mod modulus, kept for the first 256 digits met (every digit when p <= 256)."""
+
+    def __init__(self, e: int, modulus: int):
+        self.e, self.modulus = e, modulus
+
+    def __missing__(self, d: int) -> int:
+        value = pow(d, self.e, self.modulus)
+        if len(self) < 256:  # a large prime's memo stays bounded
+            self[d] = value
+        return value
+
+
 def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]:
     """The expression as a function of the coordinate residues, and its precision.
 
@@ -567,14 +581,20 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]
                 return r // shift
 
             return divp, max(nc - e, 1)
+        case DigitSum(exponent=e) if e < 1:  # 0^0 = 1 would weigh the zeros above the top
+            return _failing(ValueError, f"digitsum exponent must be >= 1, got {e}"), n
         case DigitSum(var_index=k, coeffs=cs, exponent=e):
-            coordinate, modulus = itemgetter(k - 1), p**n
-            weights = [p**j * _poly_eval(cs, j) % modulus for j in range(n)]
+            coordinate, power = itemgetter(k - 1), _DigitPowers(e, p**n).__getitem__
+            width, shift = _digit_walk(p)[:2]
+            weights = [p ** (j % width) * _poly_eval(cs, j) for j in range(n)]  # p^t a(bW + t)
+            slices = [weights[j : j + width] for j in range(0, n, width)]
 
-            def digitsum(xs):
-                digits = _digit_list(coordinate(xs), p, n)
-                powers = {d: pow(d, e, modulus) for d in set(digits)}
-                return sum(map(mul, weights, map(powers.__getitem__, digits)))
+            def digitsum(xs):  # block b weighs p^(bW); none above the top nonzero one is read
+                total, scale = 0, 1
+                for ws, block in zip(slices, _digit_blocks(coordinate(xs), p)):
+                    total += scale * sum(map(mul, ws, map(power, block)))
+                    scale *= shift
+                return total
 
             return digitsum, n
     return _failing(TypeError, f"not an expression node: {expr!r}"), n

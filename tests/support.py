@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
+from hypothesis import strategies as st
+
 from padicvdp.core import (
     DEFAULT_BUDGET,
     PadicInt,
     PadicPoint,
+    _digit_walk,
     _from_residue,
     from_rational,
     m_star,
@@ -74,6 +77,24 @@ def int_digits(k: int, p: int, n: int) -> list[int]:
         k, d = divmod(k, p)
         digits.append(d)
     return digits
+
+
+@st.composite
+def block_residues(draw, p: int, n: int) -> int:
+    """A residue below p^n: 0, p^n - 1, or one made of zero, full and random digit blocks.
+
+    Blocks are as wide as the library's digit walk for p, so whole zero blocks
+    occur below the top and on top.
+    """
+    width, residue = _digit_walk(p)[0], 0
+    kind = draw(st.sampled_from(["zero", "full", "blocks"]))
+    if kind != "blocks":
+        return 0 if kind == "zero" else p**n - 1
+    for start in range(0, n, width):
+        top = p ** min(width, n - start)
+        block = draw(st.sampled_from([0, top - 1, None]))
+        residue += (draw(st.integers(0, top - 1)) if block is None else block) * p**start
+    return residue
 
 
 def val_mod(v: int, p: int, n: int) -> int:
@@ -326,6 +347,8 @@ def evaluate_tree(expr, point: PadicPoint) -> PadicInt:
                 raise ValueError(
                     f"expression uses x{k} but the point has arity {point.arity}"
                 )
+            if e < 1:
+                raise ValueError(f"digitsum exponent must be >= 1, got {e}")
             x = point.coords[k - 1]
             digits = x.digits
             digit_power = {d: pow(d, e, p**x.precision) for d in set(digits)}

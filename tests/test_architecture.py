@@ -1,7 +1,8 @@
 """Only core knows the digit layout and the rule that decides vanishing.
 
-Other modules ask core's `vanishes_to` / `vanishing_scan`; a local prefix test
-or digit walk would bring back a precision rule of its own.
+Other modules ask core's `vanishes_to` / `vanishing_scan` and walk digits
+through core; a local prefix test or digit walk would bring back a precision
+rule of its own.
 """
 import ast
 import gc
@@ -15,7 +16,7 @@ from padicvdp.dsl import evaluate, parse
 PACKAGE = Path(padicvdp.__file__).parent
 
 # (module, enclosing function) pairs allowed to read `.digits` outside core
-DIGIT_READERS = {("vdp.py", "VdpTable.to_json"), ("dsl.py", "evaluate")}
+DIGIT_READERS = {("vdp.py", "VdpTable.to_json")}
 
 
 def _walk(node, attribute: str, scope: tuple, in_function: bool):
@@ -45,27 +46,20 @@ def test_divisible_by_p_power_is_called_only_in_core():
     assert [(module, node.lineno) for module, _, node in uses if module != "core.py"] == []
 
 
-def test_digits_are_read_only_by_core_table_json_and_digitsum():
+def test_digits_are_read_only_by_core_and_table_json():
     readers = {(module, scope) for module, scope, _ in _uses("digits") if module != "core.py"}
     assert readers <= DIGIT_READERS, readers - DIGIT_READERS
 
 
-def test_digitsum_branch_is_the_only_digit_reader_in_evaluate():
-    tree = ast.parse((PACKAGE / "dsl.py").read_text())
-    evaluate = next(n for n in tree.body if getattr(n, "name", None) == "evaluate")
-    cases = [c for m in ast.walk(evaluate) if isinstance(m, ast.Match) for c in m.cases]
-    for case in cases:
-        reads = [n for n in ast.walk(case) if isinstance(n, ast.Attribute) and n.attr == "digits"]
-        pattern = case.pattern
-        digitsum = isinstance(pattern, ast.MatchClass) and ast.unparse(pattern.cls) == "DigitSum"
-        assert not reads or digitsum, ast.unparse(pattern)
-
-
-def test_dsl_reads_no_digits_and_calls_no_divmod():
-    tree = ast.parse((PACKAGE / "dsl.py").read_text())
-    digits = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "digits"]
-    divmods = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "divmod"]
-    assert (digits, divmods) == ([], [])
+def test_only_core_calls_divmod():
+    # core owns the one digit walk; a divmod elsewhere would be a second one
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "divmod"
+    ]
+    assert calls == []
 
 
 def test_the_compiled_form_of_an_earlier_expression_is_not_kept():

@@ -396,6 +396,7 @@ class TestErrorsAndDeterminism:
         ["lipschitz", "--prime", "7", "--vars", "2", "--expr", "x1 + x2", "--alpha", "0,0",
          "--projection-samples", "100000000"],
         ["eval", "--prime", "1000000000000000003", "--expr", "x1", "--point", "1"],
+        ["eval", "--prime", "7", "--expr", "x1", "--point", "3", "--precision", "100000000"],
     ])
     def test_counts_fail_on_budget_before_any_work(self, capsys, argv):
         started = time.monotonic()
@@ -647,14 +648,24 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert json.loads(err) == {"error": {"category": "internal", "message": "RuntimeError: boom"}}
 
 
-def test_module_entry_point():
-    # the child imports the package under test, installed or not
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m padicvdp` in a child that imports the package under test, installed or not."""
     src = str(Path(padicvdp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicvdp", "roots", "--prime", "7",
-         "--expr", QUINTIC_TEXT, "--level", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, "-m", "padicvdp", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
+
+
+def test_module_entry_point():
+    proc = run_module("roots", "--prime", "7", "--expr", QUINTIC_TEXT, "--level", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["residues"] == [5]
+
+
+def test_a_digit_map_at_100000_digits_runs():
+    proc = run_module("eval", "--prime", "7", "--expr", "digitsum(x1, 1, 1)", "--point", "3",
+                      "--precision", "100000")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["value"]["digits"] == [3] + [0] * 99_999

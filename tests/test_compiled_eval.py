@@ -43,7 +43,7 @@ def trees(draw, p: int, arity: int, depth: int = 4):
         return Var(draw(index))
     if kind == "digitsum":
         coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
-        return DigitSum(draw(index), tuple(coeffs), draw(st.integers(1, 3)))
+        return DigitSum(draw(index), tuple(coeffs), draw(st.integers(0, 3)))
     child = trees(p, arity, depth - 1)
     if kind == "^":
         return Pow(draw(child), draw(st.integers(0, 4)))
@@ -83,6 +83,8 @@ def test_hand_built_corner_cases_match_the_tree_walk():
         RatConst(1, 0),
         Var(3),
         DigitSum(4, (1,), 1),
+        DigitSum(4, (1,), 0),  # the coordinate's range is checked first
+        DigitSum(1, (1,), 0),
         Add(DivP(Var(2), 1), RatConst(1, p)),  # the inexact divp on the left wins
         Add(RatConst(1, p), DivP(Var(2), 1)),
         DivP(Var(2), 5),  # inexact is raised before "leaves no known digits"
@@ -93,6 +95,15 @@ def test_hand_built_corner_cases_match_the_tree_walk():
     ]
     for expr in cases:
         assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point), expr
+
+
+def test_a_digitsum_exponent_below_one_raises():
+    # 0^0 = 1 would weigh every zero digit above the input's top; the parser builds e >= 1 only
+    point = PadicPoint.from_integers((3,), 7, 6)
+    for e in (0, -2):
+        want = (ValueError, f"digitsum exponent must be >= 1, got {e}")
+        assert outcome(evaluate, DigitSum(1, (1,), e), point) == want
+        assert outcome(evaluate_tree, DigitSum(1, (1,), e), point) == want
 
 
 def test_coordinates_outside_one_to_arity_raise_in_order():

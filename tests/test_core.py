@@ -13,6 +13,9 @@ from padicvdp.core import (
     PadicPoint,
     PrecisionExhaustedError,
     PrimeMismatchError,
+    _digit_blocks,
+    _digit_list,
+    _digit_walk,
     digit_length,
     floor_log_p,
     from_integer,
@@ -25,7 +28,7 @@ from padicvdp.core import (
     weight,
 )
 
-from support import int_digits, vanishing_verdict_int
+from support import block_residues, int_digits, vanishing_verdict_int
 
 
 class TestFromInteger:
@@ -410,3 +413,18 @@ def test_weight_accepts(alpha, arity, expected):
 def test_weight_rejects(alpha, arity):
     with pytest.raises(ValueError, match="weight must be"):
         weight(alpha, arity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 101, 257, 1000003]), st.data())
+def test_digit_walk_matches_repeated_division(p, data):
+    n = data.draw(st.one_of(st.integers(1, 300), st.integers(1, 5000)))
+    residue = data.draw(block_residues(p, n))
+    assert _digit_list(residue, p, n) == int_digits(residue, p, n)
+    assert from_integer(residue, p, n).digits == tuple(int_digits(residue, p, n))
+    blocks = list(_digit_blocks(residue, p))
+    assert all(len(block) == _digit_walk(p)[0] for block in blocks[:-1])
+    if residue:  # the top block ends at a chunk holding the top nonzero digit
+        assert len(blocks[-1]) <= _digit_walk(p)[0] and any(blocks[-1])
+    else:
+        assert blocks == []

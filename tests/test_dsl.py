@@ -1,5 +1,7 @@
 import math
 import random
+import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from padicvdp.core import (
     InexactDivisionError,
     PadicPoint,
+    _digit_walk,
     from_integer,
 )
 from padicvdp.dsl import (
@@ -33,6 +36,7 @@ from padicvdp.dsl import (
 
 from support import (
     QUINTIC_TEXT,
+    block_residues,
     coefficient_int,
     digitsum_int,
     eval_int_model,
@@ -223,6 +227,61 @@ class TestDigitsumCoefficient:
         coeffs = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
         got = evaluate(DigitSum(1, coeffs, exponent), PadicPoint((from_integer(x, p, n),)))
         assert got.to_integer() == digitsum_int(coeffs, exponent, x, p, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11, 101, 257, 1000003]), st.data())
+    def test_digit_sums_across_blocks_match_the_integer_model(self, p, data):
+        n = data.draw(st.sampled_from([63, 64, 65, 129, 300]))
+        x = data.draw(block_residues(p, n))
+        exponent = data.draw(st.one_of(st.integers(1, 5), st.sampled_from([49, 343])))
+        coeffs = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
+        got = evaluate(DigitSum(1, coeffs, exponent), PadicPoint((from_integer(x, p, n),)))
+        assert got.to_integer() == digitsum_int(coeffs, exponent, x, p, n)
+
+
+class TestDigitMapCost:
+    """A digit map reads only the digits its input has, with weights linear in N."""
+
+    @pytest.mark.parametrize("x", [3, 7**100_000 - 1], ids=["one-digit", "all-sixes"])
+    def test_100000_digits_take_under_a_second(self, x):
+        point = PadicPoint.from_integers((x,), 7, 100_000)
+        started = time.perf_counter()
+        value = evaluate(parse("digitsum(x1, 1, 1)", 1), point)
+        assert time.perf_counter() - started < 1.0
+        assert value.residue == x  # every weight is 1, so the map is the identity
+
+    @staticmethod
+    def peak_bytes(expr, point) -> int:
+        tracemalloc.start()
+        try:
+            evaluate(expr, point)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_100000_digits_stay_under_40_mb(self):
+        point = PadicPoint.from_integers((3,), 7, 100_000)
+        assert self.peak_bytes(parse("digitsum(x1, 1, 1)", 1), point) < 40 * 2**20
+
+    def test_a_prime_above_the_table_limit_builds_no_table(self):
+        p, n, x = 1_000_003, 300, 10**500 + 12345
+        expr = DigitSum(1, (1, 2), 2)
+        point = PadicPoint.from_integers((x,), p, n)
+        assert evaluate(expr, point).residue == digitsum_int((1, 2), 2, x, p, n)
+        _digit_walk.cache_clear()  # a table of p entries would take tens of MB
+        assert self.peak_bytes(expr, point) < 2**20
+
+    def test_a_large_prime_keeps_a_bounded_memo_of_digit_powers(self):
+        p, n, expr, rng = 1_000_003, 12, DigitSum(1, (1,), 2), random.Random(0)
+        points = [PadicPoint.from_integers((rng.randrange(p**n),), p, n) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            for point in points:  # 24,000 digits, nearly all distinct
+                evaluate(expr, point)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**18
 
 
 class TestFuncDef:
