@@ -33,7 +33,6 @@ from .dsl import (
     FuncDef,
     ParseError,
     as_point_function,
-    as_univariate,
     divp_budget,
     parse,
     parse_funcdef,
@@ -247,7 +246,8 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
         table = VdpTable.from_json(json.loads(args.table.read_text()))
         if table.prime != p:
             raise ValueError(f"table prime {table.prime} does not match --prime {p}")
-        level, arity, work = table.level, table.arity, table.precision
+        level, arity = table.level, table.arity
+        work = max(table.precision, level)  # a point needs K digits to find its grid value
         F = lambda x: vdp_eval_multi(table, x)
     else:
         defn = _load_function(args)
@@ -351,6 +351,9 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
             f"--start has {len(args.start)} entries, function arity is {defn.arity}"
         )
     work = target + divp_budget(defn.body)
+    if target * work > args.budget:  # up to `target` levels, each reading `work`-digit values
+        raise EnumerationBudgetError(f"lifting to {target} digits reads {target} x {work} "
+                                     f"digits, budget is {args.budget}")
     coordinate = None if args.auto_coordinate else (args.coordinate or 1)
     trace = hensel_lift_multi(
         as_point_function(defn), alpha, args.start, args.l0, target, p,
@@ -369,22 +372,19 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
 
 def _cmd_wellposed(args) -> tuple[dict, dict, int]:
     defn = _load_function(args)
-    p = args.prime
-    if args.residue_level is not None:
-        if defn.arity != 1:
-            raise ValueError("--residue-level applies to one-variable functions")
-        (alpha,) = _resolve_alpha(args.alpha, defn, 1, default_zero=True)
+    p, k = args.prime, args.residue_level
+    if k is not None:
+        alpha = _resolve_alpha(args.alpha, defn, defn.arity, default_zero=True)
     work = args.precision + divp_budget(defn.body)
     report = well_defined_check(
         defn.body, defn.arity, p, work, args.samples, seed=args.seed
     )
     result: dict = {"totality": report.to_json()}
     failed = not report.ok
-    if args.residue_level is not None:
+    if k is not None:
         residue = well_defined_residue_check(
-            as_univariate(defn), alpha, args.residue_level, p,
-            samples=args.samples, seed=args.seed,
-            eval_precision=args.residue_level + 2 + divp_budget(defn.body),
+            as_point_function(defn), k, alpha, defn.arity, p, args.samples,
+            seed=args.seed, eval_precision=k + 2 + divp_budget(defn.body),
         )
         result["residue"] = residue.to_json()
         failed = failed or not residue.ok

@@ -13,6 +13,7 @@ freely across threads.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,6 +40,8 @@ __all__ = [
     "weight",
     "vanishes_to",
     "vanishing_scan",
+    "SampledReport",
+    "sampled_scan",
     "DEFAULT_BUDGET",
 ]
 
@@ -412,6 +415,50 @@ def vanishing_scan(checks: Iterable[tuple], describe: Callable) -> tuple[int, ob
     if short is not None and not failures:
         vanishes_to(short[0], short[1], describe, short[2])  # undecided, so it raises
     return failures, first
+
+
+def _json(value):
+    """value with every tuple in it, nested ones too, as a list."""
+    return [_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+@dataclass(frozen=True)
+class SampledReport:
+    """Evidence from one seeded scan: a violation is conclusive, none is evidence, not proof.
+
+    JSON names the count by `label`, "violations" or "failures", and lists the
+    check's settings, the (key, value) pairs in `echo`, beside it.
+    """
+
+    samples: int
+    violations: int
+    first_violation: object
+    seed: int
+    label: str = "violations"
+    echo: tuple = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
+
+    def to_json(self) -> dict:
+        first = "first_" + self.label[:-1]  # first_violation or first_failure
+        return {**{key: _json(value) for key, value in self.echo}, "samples": self.samples,
+                self.label: self.violations, first: _json(self.first_violation),
+                "seed": self.seed, "ok": self.ok}
+
+
+def sampled_scan(draw: Callable, samples: int, seed: int, describe: Callable,
+                 label: str = "violations", **echo) -> SampledReport:
+    """The one sampling loop: `samples` draws from random.Random(seed), decided by vanishing_scan.
+
+    Each draw takes the generator and returns one (site, value, order) check,
+    or None when its sample tests nothing.
+    """
+    rng = random.Random(seed)
+    drawn = (draw(rng) for _ in range(samples))
+    violations, first = vanishing_scan((check for check in drawn if check is not None), describe)
+    return SampledReport(samples, violations, first, seed, label, tuple(echo.items()))
 
 
 @dataclass(frozen=True, slots=True)

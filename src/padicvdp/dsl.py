@@ -22,7 +22,6 @@ per compiled form (see `evaluate`).
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter, mul
@@ -34,10 +33,13 @@ from .core import (
     PadicInt,
     PadicPoint,
     PrecisionExhaustedError,
+    SampledReport,
     _digit_blocks,
     _digit_walk,
     _from_residue,
+    from_integer,
     from_rational,
+    sampled_scan,
     weight,
 )
 
@@ -61,7 +63,6 @@ __all__ = [
     "divp_budget",
     "as_point_function",
     "as_univariate",
-    "WellDefinedReport",
     "well_defined_check",
 ]
 
@@ -662,58 +663,23 @@ def as_univariate(defn: FuncDef | FuncExpr) -> Callable[[PadicInt], PadicInt]:
     return lambda x: evaluate(body, PadicPoint((x,)))
 
 
-@dataclass(frozen=True)
-class WellDefinedReport:
-    """Sampling evidence that every divp in an expression divides exactly.
+def well_defined_check(
+    expr: FuncExpr, arity: int, prime: int, precision: int, samples: int, seed: int = 0,
+) -> SampledReport:
+    """Randomized totality check: a point where some divp does not divide exactly fails.
 
     Zero failures is evidence, not proof; any failure disproves totality.
     """
-
-    prime: int
-    precision: int
-    arity: int
-    samples: int
-    failures: int
-    first_failure: tuple[int, ...] | None
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-    def to_json(self) -> dict:
-        first = None if self.first_failure is None else list(self.first_failure)
-        return {**vars(self), "first_failure": first, "ok": self.ok}
-
-
-def well_defined_check(
-    expr: FuncExpr,
-    arity: int,
-    prime: int,
-    precision: int,
-    samples: int,
-    seed: int = 0,
-) -> WellDefinedReport:
-    """Randomized totality check: count inexact-division failures."""
-    rng = random.Random(seed)
     modulus = prime**precision
-    failures = 0
-    first: tuple[int, ...] | None = None
-    for _ in range(samples):
+    inexact = from_integer(1, prime, 1)  # a failed division's check: 1 does not vanish to order 1
+
+    def draw(rng):
         values = tuple(rng.randrange(modulus) for _ in range(arity))
-        point = PadicPoint.from_integers(values, prime, precision)
         try:
-            evaluate(expr, point)
+            evaluate(expr, PadicPoint.from_integers(values, prime, precision))
         except InexactDivisionError:
-            failures += 1
-            if first is None:
-                first = values
-    return WellDefinedReport(
-        prime=prime,
-        precision=precision,
-        arity=arity,
-        samples=samples,
-        failures=failures,
-        first_failure=first,
-        seed=seed,
-    )
+            return values, inexact, 1
+        return None
+
+    return sampled_scan(draw, samples, seed, "the totality check at {}".format, "failures",
+                        prime=prime, precision=precision, arity=arity)

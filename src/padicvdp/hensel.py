@@ -28,7 +28,6 @@ Brute-force residue enumeration is provided as the independent oracle.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -39,13 +38,13 @@ from .core import (
     PadicError,
     PadicInt,
     PadicPoint,
-    from_integer,
+    SampledReport,
     power_within,
+    sampled_scan,
     vanishes_to,
-    vanishing_scan,
     weight,
 )
-from .vdp import PointEvaluator, UniEvaluator, as_point_evaluator
+from .vdp import PointEvaluator, UniEvaluator, _shape, as_point_evaluator
 
 __all__ = [
     "PreconditionError",
@@ -58,7 +57,6 @@ __all__ = [
     "hensel_lift_multi",
     "roots_mod_uni",
     "well_defined_residue_check",
-    "ResidueCheckReport",
     "brute_force_roots_multi",
 ]
 
@@ -309,62 +307,31 @@ def roots_mod_uni(
     return [x for (x,) in roots]
 
 
-@dataclass(frozen=True)
-class ResidueCheckReport:
-    """Sampling evidence that f(x) mod p^(k - alpha) only depends on x mod p^k."""
-
-    prime: int
-    level: int
-    alpha: int
-    samples: int
-    failures: int
-    first_failure: tuple[int, int] | None
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-    def to_json(self) -> dict:
-        first = None if self.first_failure is None else list(self.first_failure)
-        return {**vars(self), "first_failure": first, "ok": self.ok}
-
-
 def well_defined_residue_check(
-    f: UniEvaluator,
-    alpha: int,
-    k: int,
-    prime: int,
-    samples: int,
-    seed: int = 0,
-    eval_precision: int | None = None,
-) -> ResidueCheckReport:
-    """Sampled lifts of residues: f(x + t p^k) must agree with f(x) mod p^(k - alpha)."""
-    (alpha,) = weight(alpha, 1)
-    if k < 1 + alpha:
-        raise PreconditionError(f"level k must be >= 1 + alpha, got k={k}, alpha={alpha}")
+    F: PointEvaluator, k: int, alpha: Sequence[int], arity: int, prime: int, samples: int,
+    seed: int = 0, eval_precision: int | None = None,
+) -> SampledReport:
+    """Sampled lifts of residues: F(x + p^k t) must agree with F(x) mod p^(k - max(alpha)).
+
+    That is the modulus at which `brute_force_roots_multi` tests roots at level k.
+    The first failing pair (x, y) is two integers at arity 1.
+    """
+    alpha = weight(alpha, arity)
+    if k < 1 + max(alpha):
+        raise PreconditionError(f"level k must be >= 1 + max(alpha), got k={k}, alpha={alpha}")
     W = eval_precision if eval_precision is not None else k + 2
     if W <= k:
         raise PreconditionError(f"evaluation precision {W} leaves no room above level {k}")
-    rng = random.Random(seed)
+    step, lifts = prime**k, prime ** (W - k)
 
-    def lifts():
-        for _ in range(samples):
-            x = rng.randrange(prime**k)
-            t = rng.randrange(1, prime ** (W - k))
-            y = x + t * prime**k
-            yield (x, y), f(from_integer(y, prime, W)) - f(from_integer(x, prime, W)), k - alpha
+    def draw(rng):
+        x = tuple(rng.randrange(step) for _ in range(arity))
+        y = tuple(xi + rng.randrange(1, lifts) * step for xi in x)
+        difference = _as_padic(F, y, prime, W) - _as_padic(F, x, prime, W)
+        return (_shape(x), _shape(y)), difference, k - max(alpha)
 
-    failures, first = vanishing_scan(lifts(), "deciding the residues of the pair {}".format)
-    return ResidueCheckReport(
-        prime=prime,
-        level=k,
-        alpha=alpha,
-        samples=samples,
-        failures=failures,
-        first_failure=first,
-        seed=seed,
-    )
+    return sampled_scan(draw, samples, seed, "deciding the residues of the pair {}".format,
+                        "failures", prime=prime, level=k, alpha=_shape(alpha))
 
 
 def brute_force_roots_multi(

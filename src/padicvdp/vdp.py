@@ -16,7 +16,6 @@ Arity-1 results carry scalars where the general ones carry 1-tuples
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, product, repeat
@@ -30,12 +29,15 @@ from .core import (
     PadicInt,
     PadicPoint,
     PrecisionExhaustedError,
+    SampledReport,
     _from_residue,
+    _json,
     floor_log_p,
     from_integer,
     initial_part,
     is_prime,
     power_within,
+    sampled_scan,
     vanishing_scan,
     weight,
 )
@@ -62,7 +64,6 @@ __all__ = [
     "denormalize_alpha",
     "denormalize_weighted",
     "projection",
-    "SampledLipschitzReport",
     "sampled_lip_check_uni",
     "sampled_weighted_lip_check",
 ]
@@ -83,10 +84,6 @@ def as_point_evaluator(f: UniEvaluator) -> PointEvaluator:
 def _shape(values: tuple[int, ...]) -> int | tuple[int, ...]:
     """Public form of a weight or index: a 1-tuple becomes a scalar."""
     return values[0] if len(values) == 1 else values
-
-
-def _json(value):
-    return [_json(v) for v in value] if isinstance(value, tuple) else value
 
 
 def bound_log(m: int, p: int) -> int:
@@ -446,57 +443,33 @@ def projection(F: PointEvaluator, coord: int, fixed: Sequence[PadicInt]) -> UniE
     return call
 
 
-@dataclass(frozen=True)
-class SampledLipschitzReport:
-    """Randomized pairwise Lipschitz evidence; any violation is conclusive.
-
-    The witness points in first_violation are integers at arity 1.
-    """
-
-    alpha: tuple[int, ...]
-    samples: int
-    violations: int
-    first_violation: tuple | None
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-    def to_json(self) -> dict:
-        return {**{key: _json(value) for key, value in vars(self).items()}, "ok": self.ok}
-
-
 def sampled_weighted_lip_check(
     F: PointEvaluator, alpha: Sequence[int], samples: int, arity: int, prime: int,
     precision: int, seed: int = 0,
-) -> SampledLipschitzReport:
+) -> SampledReport:
     """Randomized point pairs checked against the weighted inequality.
 
     |F(x) - F(y)| must not exceed max_i p^(alpha_i) |x_i - y_i|, i.e. the
     output difference must vanish to order min_i (ord(x_i - y_i) - alpha_i).
+    The witness points in first_violation are integers at arity 1.
     """
     alpha = weight(alpha, arity)
-    rng = random.Random(seed)
     modulus = prime**precision
 
-    def pairs():
-        for _ in range(samples):
-            a = tuple(rng.randrange(modulus) for _ in range(arity))
-            b = tuple(rng.randrange(modulus) for _ in range(arity))
-            x = PadicPoint.from_integers(a, prime, precision)
-            y = PadicPoint.from_integers(b, prime, precision)
-            required = min((xi - yi).ord() - ai for xi, yi, ai in zip(x.coords, y.coords, alpha))
-            if required != math.inf:
-                yield (_shape(a), _shape(b)), F(x) - F(y), required
+    def draw(rng):
+        a = tuple(rng.randrange(modulus) for _ in range(arity))
+        b = tuple(rng.randrange(modulus) for _ in range(arity))
+        x = PadicPoint.from_integers(a, prime, precision)
+        y = PadicPoint.from_integers(b, prime, precision)
+        required = min((xi - yi).ord() - ai for xi, yi, ai in zip(x.coords, y.coords, alpha))
+        return None if required == math.inf else ((_shape(a), _shape(b)), F(x) - F(y), required)
 
-    violations, first = vanishing_scan(pairs(), "deciding the pair {}".format)
-    return SampledLipschitzReport(alpha, samples, violations, first, seed)
+    return sampled_scan(draw, samples, seed, "deciding the pair {}".format, alpha=alpha)
 
 
 def sampled_lip_check_uni(
     f: UniEvaluator, alpha: int, samples: int, prime: int, precision: int, seed: int = 0
-) -> SampledLipschitzReport:
+) -> SampledReport:
     """Randomized pairs x, y checked against the p^alpha-Lipschitz inequality."""
     F = as_point_evaluator(f)
     return sampled_weighted_lip_check(F, (alpha,), samples, 1, prime, precision, seed)

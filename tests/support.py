@@ -129,6 +129,57 @@ def vanishing_verdict_int(checks: Sequence[tuple[int, int, int]], p: int):
     return ("holds", 0, None) if short is None else ("undecided", 0, short)
 
 
+def totality_replay_int(divides, arity: int, p: int, precision: int, samples: int, seed: int):
+    """(failures, first failing point) of the sampled totality check, in plain integers.
+
+    Draws as the library does: per sample, `arity` values below p^precision from
+    random.Random(seed). A point fails when divides(values) is false.
+    """
+    rng = random.Random(seed)
+    failures, first = 0, None
+    for _ in range(samples):
+        values = tuple(rng.randrange(p**precision) for _ in range(arity))
+        if not divides(values):
+            failures += 1
+            first = values if first is None else first
+    return failures, first
+
+
+def residue_replay_int(f_int, k: int, order: int, arity: int, p: int, precision: int,
+                       samples: int, seed: int):
+    """(failures, first failing pair) of the sampled residue check, in plain integers.
+
+    Draws as the library does: per sample, x below p^k and then t in
+    [1, p^(precision - k)), one per coordinate each, from random.Random(seed).
+    The lift y = x + p^k t fails when f_int(y) - f_int(x) is not 0 mod p^order.
+    The pair is two integers at arity 1.
+    """
+    rng = random.Random(seed)
+    failures, first = 0, None
+    for _ in range(samples):
+        x = [rng.randrange(p**k) for _ in range(arity)]
+        y = [v + rng.randrange(1, p ** (precision - k)) * p**k for v in x]
+        if (f_int(y) - f_int(x)) % p**order:
+            failures += 1
+            if first is None:
+                first = (x[0], y[0]) if arity == 1 else (tuple(x), tuple(y))
+    return failures, first
+
+
+def residue_failures_int(f_int, k: int, order: int, arity: int, p: int, lift_digits: int):
+    """Every failing lift of the residue check, by enumeration in plain integers.
+
+    That is each (x, y) with x in [0, p^k)^n and y = x + p^k t for t in
+    [1, p^lift_digits)^n where f_int(y) - f_int(x) is not 0 mod p^order.
+    """
+    return {
+        (x, y) for x in product(range(p**k), repeat=arity)
+        for t in product(range(1, p**lift_digits), repeat=arity)
+        for y in [tuple(v + s * p**k for v, s in zip(x, t))]
+        if (f_int(y) - f_int(x)) % p**order
+    }
+
+
 def digitsum_int(coeffs: Sequence[int], exponent: int, x: int, p: int, n: int) -> int:
     """digitsum(x, a, e) mod p^n in plain integers, each digit power taken exactly."""
     total = 0

@@ -100,7 +100,7 @@ def test_c02_exact_division_function_certification():
     with criterion(2, "(x - x^7)/7 total over 10^4 samples, in class 1 not 0 at K=3", 5.0):
         expr = parse(FERMAT_DIFF_TEXT, 1)
         report = well_defined_check(expr, 1, 7, 9, 10_000, seed=0)
-        assert report.failures == 0
+        assert report.violations == 0
 
         f = as_univariate(FuncDef(arity=1, body=expr))
         table = vdp_expand_uni(f, 3, 7, 9)

@@ -1,8 +1,9 @@
-"""Only core knows the digit layout and the rule that decides vanishing.
+"""Only core knows the digit layout, the rule that decides vanishing and the sampling loop.
 
 Other modules ask core's `vanishes_to` / `vanishing_scan` and walk digits
 through core; a local prefix test or digit walk would bring back a precision
-rule of its own.
+rule of its own. Sampled checks hand their draws to core's `sampled_scan`; a
+local seeded loop would bring back a report of its own.
 """
 import ast
 import gc
@@ -17,6 +18,10 @@ PACKAGE = Path(padicvdp.__file__).parent
 
 # (module, enclosing function) pairs allowed to read `.digits` outside core
 DIGIT_READERS = {("vdp.py", "VdpTable.to_json")}
+
+# (module, enclosing function) pairs that build a random.Random besides core's one scan:
+# the projection tier's fixed points and expand's spot check draw no sampled verdict
+RANDOM_BUILDERS = {("cli.py", "_cmd_lipschitz"), ("cli.py", "_cmd_expand")}
 
 
 def _walk(node, attribute: str, scope: tuple, in_function: bool):
@@ -60,6 +65,18 @@ def test_only_core_calls_divmod():
         if isinstance(node, ast.Name) and node.id == "divmod"
     ]
     assert calls == []
+
+
+def test_only_the_sampled_scan_builds_a_random_generator():
+    builders = {(module, scope) for module, scope, _ in _uses("Random")}
+    assert builders == RANDOM_BUILDERS | {("core.py", "sampled_scan")}
+    imports = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "random"
+    ]
+    assert imports == []  # `from random import Random` would hide a builder from the scan
 
 
 def test_the_compiled_form_of_an_earlier_expression_is_not_kept():

@@ -319,6 +319,17 @@ class TestRootsAndLift:
         assert fixed["result"]["auto_coordinate"] is False
         assert auto["result"]["root"] == fixed["result"]["root"]
 
+    @pytest.mark.parametrize("budget, code", [("100", 0), ("99", 2)])
+    def test_lift_digit_cost_is_checked_against_the_budget(self, capsys, budget, code):
+        # target x (target + divp budget) digits: 10 x 10 here
+        got, out, err = run_cli(
+            capsys, "lift", "--prime", "3", "--expr", "x1 - 10", "--start", "1",
+            "--target-precision", "10", "--budget", budget,
+        )
+        assert got == code
+        if code:
+            assert out == "" and json.loads(err)["error"]["category"] == "config"
+
 
 class TestWellposed:
     def test_total_function_passes(self, capsys):
@@ -344,6 +355,17 @@ class TestWellposed:
         )
         assert code == 0
         assert payload["result"]["residue"]["ok"]
+
+    @pytest.mark.parametrize("alpha, code", [("1,0", 0), ("0,0", 1)])
+    def test_residue_level_in_two_variables(self, capsys, alpha, code):
+        # F mod 7^(2 - max(alpha)) depends on x mod 7^2 only at alpha (1, 0)
+        got, payload = run_json(
+            capsys, "wellposed", "--prime", "7", "--vars", "2", "--expr", "divp(x1 - x1^7, 1) + x2",
+            "--residue-level", "2", "--alpha", alpha, "--samples", "300",
+        )
+        residue = payload["result"]["residue"]
+        assert got == code and residue["alpha"] == [int(a) for a in alpha.split(",")]
+        assert residue["ok"] == (code == 0) and (residue["failures"] > 0) == (code == 1)
 
 
 class TestErrorsAndDeterminism:
@@ -393,6 +415,8 @@ class TestErrorsAndDeterminism:
         ["lipschitz", "--prime", "7", "--expr", "x1", "--alpha", "0",
          "--samples", "100000000"],
         ["wellposed", "--prime", "7", "--expr", "x1", "--samples", "100000000"],
+        ["lift", "--prime", "7", "--expr", QUINTIC_TEXT, "--start", "5", "--l0", "1",
+         "--alpha", "0", "--target-precision", "100000"],
         ["lipschitz", "--prime", "7", "--vars", "2", "--expr", "x1 + x2", "--alpha", "0,0",
          "--projection-samples", "100000000"],
         ["eval", "--prime", "1000000000000000003", "--expr", "x1", "--point", "1"],
@@ -503,7 +527,7 @@ class TestErrorsAndDeterminism:
 
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_bound_violation_wins_over_undecided_tiers(self, capsys, tmp_path, seed):
-        # N = 1 < K = 3: the pair tier cannot list initial parts of its points
+        # N = 1 < K = 3: pair points carry K digits, so the pair tier reads the grid too
         entries = [[0]] * 343
         entries[100] = [1]
         path = tmp_path / "viol.json"
@@ -516,7 +540,9 @@ class TestErrorsAndDeterminism:
         result = payload["result"]
         assert result["verdict"] == "violated"
         assert result["tiers"]["necessary-bound"]["violation"] == 100
-        assert "needs 3 digits" in result["tiers"]["pair-sampled"]["undecided"]
+        pair = result["tiers"]["pair-sampled"]
+        assert "undecided" not in pair and pair["violations"] > 0
+        assert 100 in [v % 343 for v in pair["first_violation"]]
 
     def test_bound_violation_wins_over_an_undecided_projection_tier(self, capsys, tmp_path):
         side = 2**3
@@ -531,17 +557,18 @@ class TestErrorsAndDeterminism:
         tiers = payload["result"]["tiers"]
         assert tiers["necessary-bound"]["violation"] == [2, 0]
         assert "undecided" in tiers["projection-sampled"]
-        assert "undecided" in tiers["pair-sampled"]
+        assert "undecided" not in tiers["pair-sampled"]  # its points carry K digits
 
-    def test_starved_table_without_a_violation_stays_undecided(self, capsys, tmp_path):
-        # at alpha = 2 every order is <= 0, so the bound holds; the pair tier cannot decide
+    def test_starved_table_without_a_violation_is_decided(self, capsys, tmp_path):
+        # at alpha = 2 every order is <= 0, so the bound holds; pair points carry K digits,
+        # and distinct ones differ below p^K, so no pair needs more than the bound's digits
         path = tmp_path / "starved.json"
         path.write_text(json.dumps({"p": 7, "K": 3, "N": 1, "B": [[0]] * 343}))
-        code, out, err = run_cli(
+        code, payload = run_json(
             capsys, "lipschitz", "--prime", "7", "--table", str(path), "--alpha", "2",
         )
-        assert code == 4 and out == ""
-        assert json.loads(err)["error"]["category"] == "precision"
+        assert code == 0 and payload["result"]["verdict"] == "no-violation-found"
+        assert payload["result"]["tiers"]["pair-sampled"]["ok"]
 
     def test_byte_identical_output(self, capsys):
         argv = [
@@ -609,8 +636,6 @@ CONFIG_ERRORS = {
     "negative-point": (["eval", "--prime", "7", "--expr", "x1", "--point", "-1"], ">= 0"),
     "start-arity": (["lift", "--prime", "7", "--vars", "2", "--expr", "x1 + x2",
                      "--start", "0"], "--start has 1 entries"),
-    "residue-level-arity": (["wellposed", "--prime", "7", "--vars", "2", "--expr", "x1 + x2",
-                             "--residue-level", "2"], "one-variable"),
     "table-prime": (["lipschitz", "--prime", "5", "--table", "{table}", "--alpha", "0"],
                     "table prime 7 does not match --prime 5"),
     "no-function": (["eval", "--prime", "7", "--point", "1"], "one of --expr or --func"),

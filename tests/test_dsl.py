@@ -43,6 +43,7 @@ from support import (
     quintic_int,
     random_total_expr,
     render_coefficient,
+    totality_replay_int,
 )
 
 
@@ -388,20 +389,28 @@ class TestDivpBudget:
 class TestWellDefined:
     def test_fermat_difference_is_total(self):
         report = well_defined_check(parse("divp(x1 - x1^7, 1)", 1), 1, 7, 8, 500)
-        assert report.failures == 0
+        assert report.violations == 0
         assert report.ok
 
     def test_bare_divp_fails(self):
         report = well_defined_check(parse("divp(x1, 1)", 1), 1, 7, 8, 500)
-        assert report.failures > 0
-        assert report.first_failure is not None
+        assert report.violations > 0
+        assert report.first_violation is not None
 
     def test_polynomial_never_fails(self):
         report = well_defined_check(parse("x1^2", 1), 1, 7, 8, 200)
-        assert report.failures == 0
+        assert report.violations == 0
 
     def test_report_is_seeded(self):
         expr = parse("divp(x1, 1)", 1)
         a = well_defined_check(expr, 1, 7, 8, 300, seed=5)
         b = well_defined_check(expr, 1, 7, 8, 300, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_replay_in_plain_integers(self, arity, seed):
+        # (x1^2 - x1)/7 divides exactly when x1 is 0 or 1 mod 7
+        report = well_defined_check(parse("divp(x1^2 - x1, 1)", arity), arity, 7, 4, 200, seed)
+        replay = totality_replay_int(lambda v: v[0] % 7 in (0, 1), arity, 7, 4, 200, seed)
+        assert (report.violations, report.first_violation) == replay

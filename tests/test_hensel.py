@@ -13,9 +13,17 @@ from padicvdp.hensel import (
     roots_mod_uni,
     well_defined_residue_check,
 )
-from padicvdp.vdp import VdpTable
+from padicvdp.vdp import VdpTable, as_point_evaluator
 
-from support import QUINTIC_TEXT, quintic_int, root_exists_via_projection, vdp_coeff_uni
+from support import (
+    FERMAT_DIFF_TEXT,
+    QUINTIC_TEXT,
+    quintic_int,
+    residue_failures_int,
+    residue_replay_int,
+    root_exists_via_projection,
+    vdp_coeff_uni,
+)
 
 
 def uni(text):
@@ -58,12 +66,12 @@ class TestRootsModUni:
 
 class TestResidueCheck:
     def test_identity_is_well_defined(self):
-        report = well_defined_residue_check(uni("x1"), 0, 2, 3, samples=200, seed=1)
+        report = well_defined_residue_check(multi("x1", 1), 2, 0, 1, 3, samples=200, seed=1)
         assert report.ok
 
     def test_quintic_is_well_defined(self):
         report = well_defined_residue_check(
-            uni(QUINTIC_TEXT), 0, 2, 7, samples=200, seed=1
+            multi(QUINTIC_TEXT, 1), 2, 0, 1, 7, samples=200, seed=1
         )
         assert report.ok
 
@@ -73,11 +81,38 @@ class TestResidueCheck:
         coeffs[4] = from_integer(1, 3, 4)
         table = VdpTable(prime=3, level=2, coeffs=tuple(coeffs))
         report = well_defined_residue_check(
-            table.function(), 0, 1, 3, samples=300, seed=1, eval_precision=4
+            as_point_evaluator(table.function()), 1, 0, 1, 3, samples=300, seed=1,
+            eval_precision=4,
         )
         assert not report.ok
-        x, y = report.first_failure
+        x, y = report.first_violation
         assert x % 3 == y % 3
+
+    @pytest.mark.parametrize("text, f_int", [
+        ("divp(x1 - x1^7, 1) + x2", lambda x: (x[0] - x[0] ** 7) // 7 + x[1]),
+        ("x1 + divp(x2 - x2^7, 1)", lambda x: x[0] + (x[1] - x[1] ** 7) // 7),
+    ], ids=["divp-in-x1", "divp-in-x2"])
+    @pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (0, 0)])
+    def test_two_variables_agree_with_brute_force(self, text, f_int, alpha):
+        # at precision 3 a sample lifts x < 7^2 by one digit t in [1, 7) per coordinate;
+        # the oracle tries every such lift, modulo 7^(2 - max(alpha)) as for the roots
+        failing = residue_failures_int(f_int, 2, 2 - max(alpha), 2, 7, 1)
+        report = well_defined_residue_check(multi(text, 2), 2, alpha, 2, 7, 300, eval_precision=3)
+        assert report.ok == (alpha != (0, 0)) == (not failing)
+        assert report.first_violation is None or report.first_violation in failing
+        assert (report.violations, report.first_violation) == residue_replay_int(
+            f_int, 2, 2 - max(alpha), 2, 7, 3, 300, 0)
+
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_replay_in_plain_integers(self, alpha, seed):
+        # x then t per sample; (x - x^7)/7 mod 49 reads x mod 7^3, so alpha 0 fails
+        report = well_defined_residue_check(multi(FERMAT_DIFF_TEXT, 1), 2, alpha, 1, 7, 200,
+                                            seed=seed, eval_precision=5)
+        replay = residue_replay_int(lambda x: (x[0] - x[0] ** 7) // 7, 2, 2 - alpha, 1, 7, 5,
+                                    200, seed)
+        assert (report.violations, report.first_violation) == replay
+        assert report.ok == (alpha == 1)
 
 
 class TestLiftUnivariate:

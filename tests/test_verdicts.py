@@ -45,7 +45,7 @@ class TestOverclaims:
     def test_residue_check_with_too_few_digits_is_undecided(self):
         # f = x^2 keeps 3 of the 6 evaluation digits; agreement to order 4 is unknowable
         with pytest.raises(PrecisionExhaustedError, match=r"needs 4 digits, known 3"):
-            well_defined_residue_check(uni("divp(343*x1^2, 3)"), 0, 4, 7, 300)
+            well_defined_residue_check(multi("divp(343*x1^2, 3)", 1), 4, 0, 1, 7, 300)
 
     def test_sampled_pairs_with_too_few_digits_are_undecided(self):
         # pairs with ord(x - y) = 3 need 3 digits of f = x^2, which keeps 2
@@ -69,7 +69,7 @@ PROBES_UNI = {
     "bound": lambda a: lip_alpha_check_uni(UNI_TABLE, a),
     "normalize": lambda a: normalize_alpha(UNI_TABLE, a),
     "sampled": lambda a: sampled_lip_check_uni(UNI, a, 5, 7, 3),
-    "residue": lambda a: well_defined_residue_check(UNI, a, 3, 7, 5),
+    "residue": lambda a: well_defined_residue_check(multi("x1", 1), 3, a, 1, 7, 5),
     "roots": lambda a: roots_mod_uni(UNI, a, 3, 7),
     "lift": lambda a: hensel_lift_uni(UNI, a, 0, 1, 4, 7),
     "funcdef": lambda a: FuncDef(arity=1, body=parse("x1", 1), alpha=a),
@@ -79,6 +79,7 @@ PROBES_BI = {
     "bound": lambda a: weighted_lip_bound_check(BI_TABLE, a),
     "normalize": lambda a: normalize_weighted(BI_TABLE, a),
     "sampled": lambda a: sampled_weighted_lip_check(BI, a, 5, 2, 7, 3),
+    "residue": lambda a: well_defined_residue_check(BI, 3, a, 2, 7, 5),
     "roots": lambda a: brute_force_roots_multi(BI, 2, a, 2, 7),
     "lift": lambda a: hensel_lift_multi(BI, a, (0, 0), 1, 4, 7),
     "funcdef": lambda a: FuncDef(arity=2, body=parse("x1 + x2", 2), alpha=a),
