@@ -29,7 +29,6 @@ from .dsl import (
     as_point_function,
     as_univariate,
     divp_budget,
-    evaluate,
     funcdef_from_json,
     parse,
     parse_funcdef,

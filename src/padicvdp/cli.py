@@ -32,7 +32,6 @@ from .core import (
 from .dsl import (
     FuncDef,
     ParseError,
-    as_point_function,
     divp_budget,
     parse,
     parse_funcdef,
@@ -196,8 +195,7 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
     if level < 1:
         raise ValueError(f"--level must be >= 1, got {level}")
     work = args.precision + divp_budget(defn.body)
-    F = as_point_function(defn)
-    table = vdp_expand_multi(F, level, arity, p, work, budget=args.budget)
+    table = vdp_expand_multi(defn, level, arity, p, work, budget=args.budget)
 
     # success postcondition: reconstruction spot check on sampled grid points
     rng = random.Random(args.seed)
@@ -206,7 +204,7 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
     for _ in range(checked):
         m = tuple(rng.randrange(table.side) for _ in range(arity))
         point = PadicPoint.from_integers(m, p, work)
-        got, want = vdp_eval_multi(table, point), F(point)
+        got, want = vdp_eval_multi(table, point), defn(point)
         if not vanishes_to(got - want, table.precision, describe, m):
             raise PadicError(f"internal: reconstruction mismatch at grid point {m}")
 
@@ -231,7 +229,7 @@ def _cmd_eval(args) -> tuple[dict, dict, int]:
         raise ValueError("point coordinates must be >= 0")
     work = args.precision + divp_budget(defn.body)
     point = PadicPoint.from_integers(args.point, p, work)
-    value = as_point_function(defn)(point)
+    value = defn(point)
     if value.precision > args.precision:
         value = value.truncate(args.precision)
     result = {"value": value.to_json(), "text": str(value)}
@@ -250,12 +248,11 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
         work = max(table.precision, level)  # a point needs K digits to find its grid value
         F = lambda x: vdp_eval_multi(table, x)
     else:
-        defn = _load_function(args)
+        F = defn = _load_function(args)
         level, arity = args.level, defn.arity
         if level < 1:
             raise ValueError(f"--level must be >= 1, got {level}")
         work = args.precision + divp_budget(defn.body)
-        F = as_point_function(defn)
     alpha = _resolve_alpha(args.alpha, defn, arity, default_zero=False)
     fixings = arity * args.projection_samples if arity > 1 else 0
     if fixings > 0 and power_within(p, level, args.budget // fixings) is None:
@@ -327,9 +324,8 @@ def _cmd_roots(args) -> tuple[dict, dict, int]:
     p, k = args.prime, args.level
     alpha = _resolve_alpha(args.alpha, defn, defn.arity, default_zero=True)
     work = k + divp_budget(defn.body)
-    roots = brute_force_roots_multi(
-        as_point_function(defn), k, alpha, defn.arity, p, eval_precision=work, budget=args.budget
-    )
+    roots = brute_force_roots_multi(defn, k, alpha, defn.arity, p, eval_precision=work,
+                                    budget=args.budget)
     residues = [r[0] if defn.arity == 1 else list(r) for r in roots]
     result = {
         "level": k,
@@ -355,10 +351,8 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
         raise EnumerationBudgetError(f"lifting to {target} digits reads {target} x {work} "
                                      f"digits, budget is {args.budget}")
     coordinate = None if args.auto_coordinate else (args.coordinate or 1)
-    trace = hensel_lift_multi(
-        as_point_function(defn), alpha, args.start, args.l0, target, p,
-        coordinate=coordinate, eval_precision=work,
-    )
+    trace = hensel_lift_multi(defn, alpha, args.start, args.l0, target, p,
+                              coordinate=coordinate, eval_precision=work)
     result = trace.to_json()
     result["replay_verified"] = trace.lifted
     if trace.root is not None:
@@ -376,16 +370,13 @@ def _cmd_wellposed(args) -> tuple[dict, dict, int]:
     if k is not None:
         alpha = _resolve_alpha(args.alpha, defn, defn.arity, default_zero=True)
     work = args.precision + divp_budget(defn.body)
-    report = well_defined_check(
-        defn.body, defn.arity, p, work, args.samples, seed=args.seed
-    )
+    report = well_defined_check(defn, defn.arity, p, work, args.samples, seed=args.seed)
     result: dict = {"totality": report.to_json()}
     failed = not report.ok
     if k is not None:
-        residue = well_defined_residue_check(
-            as_point_function(defn), k, alpha, defn.arity, p, args.samples,
-            seed=args.seed, eval_precision=k + 2 + divp_budget(defn.body),
-        )
+        residue = well_defined_residue_check(defn, k, alpha, defn.arity, p, args.samples,
+                                             seed=args.seed,
+                                             eval_precision=k + 2 + divp_budget(defn.body))
         result["residue"] = residue.to_json()
         failed = failed or not residue.ok
     config = _config_echo(args, arity=defn.arity)

@@ -42,6 +42,7 @@ __all__ = [
     "vanishing_scan",
     "SampledReport",
     "sampled_scan",
+    "on_residues",
     "DEFAULT_BUDGET",
 ]
 
@@ -515,3 +516,17 @@ class PadicPoint:
     @classmethod
     def from_json(cls, data: dict) -> PadicPoint:
         return cls(tuple(PadicInt.from_json(c) for c in data["coords"]))
+
+
+def on_residues(F: Callable, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
+    """F as a function of `arity` coordinate residues mod p^n: its own form when it has one.
+
+    A plain callable on points is wrapped, so this is the one place a consumer's
+    point is built; an evaluator of another arity raises here, before any call.
+    """
+    _require_prime(p)
+    if n < 1:
+        raise ValueError(f"precision must be >= 1, got {n}")
+    if hasattr(F, "on_residues"):
+        return F.on_residues(p, n, arity)
+    return lambda xs: F(PadicPoint(tuple([_from_residue(x, p, n) for x in xs])))

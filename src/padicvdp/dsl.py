@@ -17,7 +17,7 @@ which is how locally-defined digit maps are written; a is an expr over
 integers and the digit index i (a name nowhere else), of degree at most
 MAX_DEPTH and below 2^(MAX_DEPTH^2) in absolute sum. Rational constants must
 have denominator coprime to p; they are embedded by modular inversion once
-per compiled form (see `evaluate`).
+per compiled form (see `FuncDef.on_residues`).
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from .core import (
     _from_residue,
     from_integer,
     from_rational,
+    on_residues,
     sampled_scan,
     weight,
 )
@@ -59,7 +60,6 @@ __all__ = [
     "parse",
     "parse_funcdef",
     "funcdef_from_json",
-    "evaluate",
     "divp_budget",
     "as_point_function",
     "as_univariate",
@@ -155,6 +155,28 @@ class FuncDef:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if self.alpha is not None:
             weight(self.alpha, self.arity)
+
+    def __call__(self, x: PadicPoint | PadicInt) -> PadicInt:
+        """Value at a point, or at a single value when the arity is 1."""
+        coords = x.coords if isinstance(x, PadicPoint) else (x,)
+        f = self.on_residues(coords[0].prime, coords[0].precision, len(coords))
+        return f(tuple([c.residue for c in coords]))
+
+    def on_residues(self, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
+        """The body on the coordinates' residues mod p^n, each divp on a path costing its exponent.
+
+        Only the latest compiled form is kept, per body object and (p, N, arity), so
+        no earlier expression stays alive; racing callers at worst recompile.
+        """
+        global _last
+        if arity != self.arity:
+            raise ValueError(f"function of arity {self.arity} applied to point of arity {arity}")
+        last = _last
+        if not (last[0] is self.body and last[1] == p and last[2] == n and last[3] == arity):
+            f, precision = _compile(self.body, p, n, arity)
+            last = _last = (self.body, p, n, arity,
+                            lambda xs: _from_residue(f(xs), p, precision))
+        return last[4]
 
     def to_json(self) -> dict:
         if self.source is None:
@@ -601,24 +623,7 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]
     return _failing(TypeError, f"not an expression node: {expr!r}"), n
 
 
-_last: tuple = (None,) * 6  # (expr, p, N, arity, compiled, precision) of the latest compile
-
-
-def evaluate(expr: FuncExpr, point: PadicPoint) -> PadicInt:
-    """Value of the expression at a point, with worst-case precision tracking.
-
-    Each divp on the evaluation path costs its exponent in digits; joins
-    (binary operations) keep the minimum of the branch precisions. Only the
-    latest compiled form is kept, per expression object and (p, N, arity),
-    so no earlier expression stays alive; racing callers at worst recompile.
-    """
-    global _last
-    coords = point.coords
-    p, n = coords[0].prime, coords[0].precision
-    last = _last
-    if not (last[0] is expr and last[1] == p and last[2] == n and last[3] == len(coords)):
-        last = _last = (expr, p, n, len(coords), *_compile(expr, p, n, len(coords)))
-    return _from_residue(last[4](tuple([x.residue for x in coords])), p, last[5])
+_last: tuple = (None,) * 5  # (body, p, N, arity, evaluator) of the latest compile
 
 
 def divp_budget(expr: FuncExpr) -> int:
@@ -639,44 +644,36 @@ def divp_budget(expr: FuncExpr) -> int:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def as_point_function(defn: FuncDef) -> Callable[[PadicPoint], PadicInt]:
-    """The definition as a plain callable on points of matching arity."""
-
-    def call(point: PadicPoint) -> PadicInt:
-        if point.arity != defn.arity:
-            raise ValueError(
-                f"function of arity {defn.arity} applied to point of arity {point.arity}"
-            )
-        return evaluate(defn.body, point)
-
-    return call
+def as_point_function(defn: FuncDef) -> FuncDef:
+    """The definition itself, which is callable on points of its arity."""
+    return defn
 
 
-def as_univariate(defn: FuncDef | FuncExpr) -> Callable[[PadicInt], PadicInt]:
-    """A one-variable definition as a callable on single values."""
-    if isinstance(defn, FuncDef):
-        if defn.arity != 1:
-            raise ValueError(f"expected arity 1, got {defn.arity}")
-        body = defn.body
-    else:
-        body = defn
-    return lambda x: evaluate(body, PadicPoint((x,)))
+def as_univariate(defn: FuncDef | FuncExpr) -> FuncDef:
+    """A one-variable definition, or a bare body of arity 1, callable on single values."""
+    if not isinstance(defn, FuncDef):
+        return FuncDef(1, defn)
+    if defn.arity != 1:
+        raise ValueError(f"expected arity 1, got {defn.arity}")
+    return defn
 
 
 def well_defined_check(
-    expr: FuncExpr, arity: int, prime: int, precision: int, samples: int, seed: int = 0,
+    F, arity: int, prime: int, precision: int, samples: int, seed: int = 0,
 ) -> SampledReport:
     """Randomized totality check: a point where some divp does not divide exactly fails.
 
-    Zero failures is evidence, not proof; any failure disproves totality.
+    F is a body over x1 ... x{arity}, or an evaluator of that arity. Zero
+    failures is evidence, not proof; any failure disproves totality.
     """
+    F = on_residues(FuncDef(arity, F) if isinstance(F, FuncExpr) else F, prime, precision, arity)
     modulus = prime**precision
     inexact = from_integer(1, prime, 1)  # a failed division's check: 1 does not vanish to order 1
 
     def draw(rng):
         values = tuple(rng.randrange(modulus) for _ in range(arity))
         try:
-            evaluate(expr, PadicPoint.from_integers(values, prime, precision))
+            F(values)
         except InexactDivisionError:
             return values, inexact, 1
         return None

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -39,6 +39,7 @@ from .core import (
     PadicInt,
     PadicPoint,
     SampledReport,
+    on_residues,
     power_within,
     sampled_scan,
     vanishes_to,
@@ -126,12 +127,6 @@ class LiftTrace:
         }
 
 
-def _as_padic(
-    F: PointEvaluator, values: Sequence[int], prime: int, precision: int
-) -> PadicInt:
-    return F(PadicPoint.from_integers(values, prime, precision))
-
-
 def _level_digit(value: PadicInt, level: int, describe) -> int | None:
     """Digit `level` of a value that vanishes below it, else None; undecided raises."""
     if not vanishes_to(value, level, describe, level):
@@ -140,21 +135,20 @@ def _level_digit(value: PadicInt, level: int, describe) -> int | None:
 
 
 def _condition_values(
-    F: PointEvaluator,
+    F: Callable[[tuple], PadicInt],
     current: Sequence[int],
     base_value: PadicInt,
     coord: int,
     level: int,
     prime: int,
-    eval_precision: int,
 ) -> tuple[int | None, ...]:
-    """Normalized differences c_r for r = 1 .. p-1 along one coordinate."""
+    """Normalized differences c_r for r = 1 .. p-1 along one coordinate, F on residues."""
     step = prime**level
     values: list[int | None] = []
     for r in range(1, prime):
         shifted = list(current)
         shifted[coord - 1] += r * step
-        d = _as_padic(F, shifted, prime, eval_precision) - base_value
+        d = F(tuple(shifted)) - base_value
         values.append(_level_digit(d, level, _CONDITION_SITE))
     return tuple(values)
 
@@ -204,7 +198,8 @@ def hensel_lift_multi(
             f"evaluation precision {W} below target precision {target_precision}"
         )
 
-    start_check = _as_padic(F, start, prime, W)
+    F = on_residues(F, prime, W, arity)
+    start_check = F(start)
     if not vanishes_to(start_check, l0 + min(alpha), "F at start {}".format, start):
         raise PreconditionError(
             f"F(start) is not 0 mod p^{l0 + min(alpha)}; start={list(start)}"
@@ -228,7 +223,7 @@ def hensel_lift_multi(
     current = list(start)
     levels: list[LiftLevel] = []
     for level in range(l0 + max(alpha), target_precision):
-        base = _as_padic(F, current, prime, W)
+        base = F(tuple(current))
         t_bar = _level_digit(base, level, _LEVEL_SITE)
         if t_bar is None:
             # entry-level gap: F vanishes to the precondition order only
@@ -237,7 +232,7 @@ def hensel_lift_multi(
         chosen: tuple[int, tuple[int | None, ...]] | None = None
         first_attempt: tuple[int, tuple[int | None, ...]] | None = None
         for coord in [coordinate] if not auto else range(1, arity + 1):
-            values = _condition_values(F, current, base, coord, level, prime, W)
+            values = _condition_values(F, current, base, coord, level, prime)
             if first_attempt is None:
                 first_attempt = (coord, values)
             if _condition_complete(values, prime):
@@ -260,7 +255,7 @@ def hensel_lift_multi(
             current[coord - 1] += digit * prime**level
 
     root = PadicPoint.from_integers(current, prime, target_precision)
-    final = _as_padic(F, current, prime, W)
+    final = F(tuple(current))
     if not vanishes_to(final, target_precision, "F at the lifted root {}".format, current):
         # reachable only when the loop was empty yet the target exceeds
         # the verified start modulus
@@ -322,12 +317,13 @@ def well_defined_residue_check(
     W = eval_precision if eval_precision is not None else k + 2
     if W <= k:
         raise PreconditionError(f"evaluation precision {W} leaves no room above level {k}")
+    F = on_residues(F, prime, W, arity)
     step, lifts = prime**k, prime ** (W - k)
 
     def draw(rng):
         x = tuple(rng.randrange(step) for _ in range(arity))
         y = tuple(xi + rng.randrange(1, lifts) * step for xi in x)
-        difference = _as_padic(F, y, prime, W) - _as_padic(F, x, prime, W)
+        difference = F(y) - F(x)
         return (_shape(x), _shape(y)), difference, k - max(alpha)
 
     return sampled_scan(draw, samples, seed, "deciding the residues of the pair {}".format,
@@ -356,9 +352,10 @@ def brute_force_roots_multi(
     W = eval_precision if eval_precision is not None else k
     if W < k:
         raise PreconditionError(f"evaluation precision {W} below level {k}")
+    F = on_residues(F, prime, W, arity)
     order = k - max(alpha)
     describe = "the root test at {}".format
     return [
         values for values in product(range(prime**k), repeat=arity)
-        if vanishes_to(_as_padic(F, values, prime, W), order, describe, values)
+        if vanishes_to(F(values), order, describe, values)
     ]

@@ -33,9 +33,9 @@ from .core import (
     _from_residue,
     _json,
     floor_log_p,
-    from_integer,
     initial_part,
     is_prime,
+    on_residues,
     power_within,
     sampled_scan,
     vanishing_scan,
@@ -77,8 +77,8 @@ class LipschitzBoundError(PadicError):
 
 
 def as_point_evaluator(f: UniEvaluator) -> PointEvaluator:
-    """A one-variable evaluator as an evaluator on points of arity 1."""
-    return lambda x: f(x.coords[0])
+    """A one-variable evaluator as one on points of arity 1; a FuncDef already is both."""
+    return f if hasattr(f, "on_residues") else lambda x: f(x.coords[0])
 
 
 def _shape(values: tuple[int, ...]) -> int | tuple[int, ...]:
@@ -300,10 +300,10 @@ def vdp_expand_multi(
         raise EnumerationBudgetError(
             f"expansion needs {prime}^{level * arity} evaluations, budget is {budget}"
         )
-    axis_values = [from_integer(v, prime, precision) for v in range(prime**level)]
+    F = on_residues(F, prime, precision, arity)
     grid, known = [], []  # residues of F and their precisions
-    for m in product(axis_values, repeat=arity):
-        value = F(PadicPoint(m))
+    for m in product(range(prime**level), repeat=arity):
+        value = F(m)
         if value.prime != prime:
             raise ValueError("coefficient prime does not match table prime")
         grid.append(value.residue)
@@ -454,15 +454,15 @@ def sampled_weighted_lip_check(
     The witness points in first_violation are integers at arity 1.
     """
     alpha = weight(alpha, arity)
+    F = on_residues(F, prime, precision, arity)
     modulus = prime**precision
 
     def draw(rng):
         a = tuple(rng.randrange(modulus) for _ in range(arity))
         b = tuple(rng.randrange(modulus) for _ in range(arity))
-        x = PadicPoint.from_integers(a, prime, precision)
-        y = PadicPoint.from_integers(b, prime, precision)
-        required = min((xi - yi).ord() - ai for xi, yi, ai in zip(x.coords, y.coords, alpha))
-        return None if required == math.inf else ((_shape(a), _shape(b)), F(x) - F(y), required)
+        required = min(_from_residue(ai - bi, prime, precision).ord() - wi
+                       for ai, bi, wi in zip(a, b, alpha))
+        return None if required == math.inf else ((_shape(a), _shape(b)), F(a) - F(b), required)
 
     return sampled_scan(draw, samples, seed, "deciding the pair {}".format, alpha=alpha)
 

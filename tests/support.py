@@ -360,6 +360,11 @@ def eval_int_model(expr, values: tuple[int, ...], p: int, n: int) -> int:
     return go(expr) % p**n
 
 
+def evaluate(expr, point: PadicPoint) -> PadicInt:
+    """The library's value of a bare expression at a point: a FuncDef of the point's arity."""
+    return FuncDef(point.arity, expr)(point)
+
+
 def evaluate_tree(expr, point: PadicPoint) -> PadicInt:
     """Value of the expression at a point, with worst-case precision tracking.
 

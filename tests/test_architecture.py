@@ -1,9 +1,12 @@
-"""Only core knows the digit layout, the rule that decides vanishing and the sampling loop.
+"""Only core knows the digit layout, the rule that decides vanishing, the sampling loop
+and how a consumer's evaluation point is built.
 
 Other modules ask core's `vanishes_to` / `vanishing_scan` and walk digits
 through core; a local prefix test or digit walk would bring back a precision
 rule of its own. Sampled checks hand their draws to core's `sampled_scan`; a
-local seeded loop would bring back a report of its own.
+local seeded loop would bring back a report of its own. Consumers evaluate F
+on residue tuples through core's `on_residues`; a point built per evaluation
+would bring back a per-call adapter of its own.
 """
 import ast
 import gc
@@ -11,8 +14,8 @@ import weakref
 from pathlib import Path
 
 import padicvdp
-from padicvdp.core import PadicPoint
-from padicvdp.dsl import evaluate, parse
+from padicvdp.core import PadicPoint, on_residues
+from padicvdp.dsl import FuncDef, parse
 
 PACKAGE = Path(padicvdp.__file__).parent
 
@@ -23,27 +26,51 @@ DIGIT_READERS = {("vdp.py", "VdpTable.to_json")}
 # the projection tier's fixed points and expand's spot check draw no sampled verdict
 RANDOM_BUILDERS = {("cli.py", "_cmd_lipschitz"), ("cli.py", "_cmd_expand")}
 
+# (module, enclosing function) pairs that build a PadicPoint besides core's one adapter:
+# public boundaries that take or return a point, never a consumer's evaluation loop
+POINT_BUILDERS = {
+    ("vdp.py", "e_m"),
+    ("vdp.py", "vdp_eval_uni"),
+    ("vdp.py", "projection"),
+    ("hensel.py", "hensel_lift_multi"),  # the returned root
+    ("cli.py", "_cmd_expand"),  # the spot check
+    ("cli.py", "_cmd_eval"),
+}
 
-def _walk(node, attribute: str, scope: tuple, in_function: bool):
+
+def _walk(node, match, scope: tuple, in_function: bool):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and not in_function:
             is_function = isinstance(child, ast.FunctionDef)
-            yield from _walk(child, attribute, scope + (child.name,), is_function)
+            yield from _walk(child, match, scope + (child.name,), is_function)
             continue
-        if isinstance(child, ast.Attribute) and child.attr == attribute:
+        if match(child):
             yield ".".join(scope), child
-        yield from _walk(child, attribute, scope, in_function)
+        yield from _walk(child, match, scope, in_function)
 
 
-def _uses(attribute: str):
-    """(module, enclosing function, node) for every use of the attribute.
+def _found(match):
+    """(module, enclosing function, node) for every node that match accepts.
 
     The enclosing function is qualified by its class; helpers nested inside a
     function count as part of it.
     """
     for path in sorted(PACKAGE.glob("*.py")):
-        for scope, node in _walk(ast.parse(path.read_text()), attribute, (), False):
+        for scope, node in _walk(ast.parse(path.read_text()), match, (), False):
             yield path.name, scope, node
+
+
+def _uses(attribute: str):
+    return _found(lambda node: isinstance(node, ast.Attribute) and node.attr == attribute)
+
+
+def _builds_a_point(node) -> bool:
+    """A call of PadicPoint(...) or of a from_integers classmethod."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "PadicPoint"
+            or isinstance(f, ast.Attribute) and f.attr == "from_integers")
 
 
 def test_divisible_by_p_power_is_called_only_in_core():
@@ -79,12 +106,25 @@ def test_only_the_sampled_scan_builds_a_random_generator():
     assert imports == []  # `from random import Random` would hide a builder from the scan
 
 
+def test_only_core_and_the_public_boundaries_build_points():
+    builders = {(module, scope) for module, scope, _ in _found(_builds_a_point)}
+    assert builders == POINT_BUILDERS | {("core.py", "on_residues")}
+
+
 def test_the_compiled_form_of_an_earlier_expression_is_not_kept():
     point = PadicPoint.from_integers((3,), 7, 4)
-    a = parse("x1^2 + digitsum(x1, i, 1)", 1)
-    evaluate(a, point)
-    evaluate(parse("x1 + 1", 1), point)
-    gone = weakref.ref(a)
-    del a
+    body = parse("x1^2 + digitsum(x1, i, 1)", 1)
+    FuncDef(1, body)(point)
+    FuncDef(1, parse("x1 + 1", 1))(point)
+    gone = weakref.ref(body)
+    del body
     gc.collect()
     assert gone() is None
+
+    # one compile slot: a held evaluator keeps no compiled form once another is evaluated
+    a, b = FuncDef(1, parse("x1^2 + digitsum(x1, i, 1)", 1)), FuncDef(1, parse("x1 + 1", 1))
+    compiled = weakref.ref(on_residues(a, 7, 4, 1))
+    b(point)
+    gc.collect()
+    assert compiled() is None
+    assert a(point).residue == 3**2  # digitsum weighs digit i by i, and 3 has one digit

@@ -1,6 +1,6 @@
 """The compiled evaluator agrees with a walk of the tree, errors included.
 
-`evaluate` compiles an expression into closures over plain residues; the
+A FuncDef compiles its body into closures over plain residues; the
 oracle `evaluate_tree` walks the tree and builds a PadicInt per node. Both
 must give the same (precision, residue), or raise the same class with the
 same message, the first error in left-to-right order winning.
@@ -19,10 +19,9 @@ from padicvdp.dsl import (
     RatConst,
     Sub,
     Var,
-    evaluate,
 )
 
-from support import evaluate_tree
+from support import evaluate, evaluate_tree
 
 MAX_ARITY = 3
 

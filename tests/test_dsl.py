@@ -27,7 +27,6 @@ from padicvdp.dsl import (
     Sub,
     Var,
     divp_budget,
-    evaluate,
     funcdef_from_json,
     parse,
     parse_funcdef,
@@ -40,6 +39,7 @@ from support import (
     coefficient_int,
     digitsum_int,
     eval_int_model,
+    evaluate,
     quintic_int,
     random_total_expr,
     render_coefficient,
