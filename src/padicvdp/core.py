@@ -42,6 +42,7 @@ __all__ = [
     "vanishing_scan",
     "SampledReport",
     "sampled_scan",
+    "Evaluator",
     "on_residues",
     "DEFAULT_BUDGET",
 ]
@@ -518,8 +519,18 @@ class PadicPoint:
         return cls(tuple(PadicInt.from_json(c) for c in data["coords"]))
 
 
+class Evaluator:
+    """A function on Z_p^n that a subclass serves on residues by `on_residues(p, N, n)`."""
+
+    def __call__(self, x: PadicPoint | PadicInt) -> PadicInt:
+        """Value at a point, or at a single value when the arity is 1."""
+        coords = x.coords if isinstance(x, PadicPoint) else (x,)
+        f = self.on_residues(coords[0].prime, coords[0].precision, len(coords))
+        return f(tuple([c.residue for c in coords]))
+
+
 def on_residues(F: Callable, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
-    """F as a function of `arity` coordinate residues mod p^n: its own form when it has one.
+    """F as a function of `arity` coordinate residues mod p^n: its own form for an Evaluator.
 
     A plain callable on points is wrapped, so this is the one place a consumer's
     point is built; an evaluator of another arity raises here, before any call.
@@ -527,6 +538,6 @@ def on_residues(F: Callable, p: int, n: int, arity: int) -> Callable[[tuple], Pa
     _require_prime(p)
     if n < 1:
         raise ValueError(f"precision must be >= 1, got {n}")
-    if hasattr(F, "on_residues"):
+    if isinstance(F, Evaluator):
         return F.on_residues(p, n, arity)
     return lambda xs: F(PadicPoint(tuple([_from_residue(x, p, n) for x in xs])))

@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive):
              | "divp" "(" expr "," natural ")"
              | "digitsum" "(" variable "," expr "," natural ")" ;
     variable = "x" , natural ;                      (* x1 ... xn *)
-    rational = integer "/" integer ;
+    rational = integer "/" [ "-" ] integer ;        (* 3/-5 is -3/5 *)
 
 divp(e, k) divides by p^k exactly and costs k digits of precision.
 digitsum(xj, a, e) maps the digits of xj to sum(p^i * a(i) * digit_i^e),
@@ -28,10 +28,10 @@ from operator import itemgetter, mul
 from typing import Callable, Union
 
 from .core import (
+    Evaluator,
     InexactDivisionError,
     PadicError,
     PadicInt,
-    PadicPoint,
     PrecisionExhaustedError,
     SampledReport,
     _digit_blocks,
@@ -138,7 +138,7 @@ class _DigitIndex:
 
 
 @dataclass(frozen=True)
-class FuncDef:
+class FuncDef(Evaluator):
     """A parsed function together with its declared arity.
 
     alpha, when present, is the weight the author claims the function is
@@ -155,12 +155,6 @@ class FuncDef:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if self.alpha is not None:
             weight(self.alpha, self.arity)
-
-    def __call__(self, x: PadicPoint | PadicInt) -> PadicInt:
-        """Value at a point, or at a single value when the arity is 1."""
-        coords = x.coords if isinstance(x, PadicPoint) else (x,)
-        f = self.on_residues(coords[0].prime, coords[0].precision, len(coords))
-        return f(tuple([c.residue for c in coords]))
 
     def on_residues(self, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
         """The body on the coordinates' residues mod p^n, each divp on a path costing its exponent.

@@ -11,7 +11,7 @@ level-K grid, for every n; at n = 1 it is Anashin's p^alpha-Lipschitz criterion.
 
 Arity-1 results carry scalars where the general ones carry 1-tuples
 (weights, violating indices, sampled witness points, the JSON format); the
-`_uni` functions convert between the two and call the general code.
+`_uni` functions are the general code under arity-1 names, or convert and call it.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from typing import Callable, Iterator, Sequence
 from .core import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
+    Evaluator,
     PadicError,
     PadicInt,
     PadicPoint,
@@ -77,8 +78,8 @@ class LipschitzBoundError(PadicError):
 
 
 def as_point_evaluator(f: UniEvaluator) -> PointEvaluator:
-    """A one-variable evaluator as one on points of arity 1; a FuncDef already is both."""
-    return f if hasattr(f, "on_residues") else lambda x: f(x.coords[0])
+    """A one-variable evaluator as one on points of arity 1; an Evaluator already is both."""
+    return f if isinstance(f, Evaluator) else lambda x: f(x.coords[0])
 
 
 def _shape(values: tuple[int, ...]) -> int | tuple[int, ...]:
@@ -125,8 +126,8 @@ def _entry(p: int, digits) -> PadicInt:
 
 
 @dataclass(frozen=True)
-class VdpTable:
-    """Dense coefficient table over the grid [0, p^level)^arity.
+class VdpTable(Evaluator):
+    """Dense coefficient table over the grid [0, p^level)^arity, and the partial sum it defines.
 
     Coefficients are stored row-major: the flat index of m is the integer
     with base-p^level digits m_1 ... m_n, m_n least significant (at arity 1,
@@ -204,11 +205,22 @@ class VdpTable:
         _yates(grid, known, self.prime, self.level, self.arity, +1)
         return grid, known
 
-    def function(self) -> UniEvaluator | PointEvaluator:
-        """The table as an evaluator: on values at arity 1, on points otherwise."""
-        if self.arity == 1:
-            return lambda x: vdp_eval_uni(self, x)
-        return lambda x: vdp_eval_multi(self, x)
+    def on_residues(self, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
+        """The partial sum on residues mod p^n, n >= K: the grid value at x mod p^K."""
+        if arity != self.arity:
+            raise ValueError(f"point arity {arity}, table arity {self.arity}")
+        if p != self.prime:
+            raise ValueError(f"point prime {p} does not match table prime {self.prime}")
+        if n < self.level:
+            raise PrecisionExhaustedError(
+                f"a table at level {self.level} needs {self.level} digits, known {n}")
+        (grid, known), side = self._grid, self.side
+
+        def value(xs: tuple) -> PadicInt:
+            pos = self.flat_index([x % side for x in xs])
+            return _from_residue(grid[pos], p, known[pos])
+
+        return value
 
     def to_json(self) -> dict:
         """{p, K, N, B[, alpha, b]} with lists at arity 1, else {p, n, K, N, A[, alpha, a]}."""
@@ -325,20 +337,9 @@ def vdp_expand_uni(
     return vdp_expand_multi(as_point_evaluator(f), level, 1, prime, precision, budget)
 
 
-def vdp_eval_multi(table: VdpTable, x: PadicPoint) -> PadicInt:
-    """Partial sum at x: the grid value at x mod p^K, whose starring chain is x's initial parts."""
-    if x.arity != table.arity:
-        raise ValueError(f"point arity {x.arity}, table arity {table.arity}")
-    if x.prime != table.prime:
-        raise ValueError("point prime does not match table prime")
-    pos = table.flat_index([c.standard_seq(table.level - 1) for c in x.coords])
-    grid, known = table._grid
-    return _from_residue(grid[pos], table.prime, known[pos])
-
-
-def vdp_eval_uni(table: VdpTable, x: PadicInt) -> PadicInt:
-    """Partial sum of the series at x: sum of B_m over initial parts m < p^K."""
-    return vdp_eval_multi(table, PadicPoint((x,)))
+def vdp_eval_multi(table: VdpTable, x: PadicPoint | PadicInt) -> PadicInt:
+    """Partial sum at x, a point or one value at arity 1: sum of A_m over initial parts m."""
+    return table(x)
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,7 @@ def _first_violation(table: VdpTable, shifts: list[int]) -> tuple[int, ...] | No
     return vanishing_scan(checks, lambda m: f"deciding the bound at m={_shape(m)}")[1]
 
 
-def weighted_lip_bound_check(table: VdpTable, alpha: Sequence[int]) -> LipschitzVerdict:
+def weighted_lip_bound_check(table: VdpTable, alpha: int | Sequence[int]) -> LipschitzVerdict:
     """Check ord(A_m) >= max over I(m) of (floor(log_p m_i) - alpha_i).
 
     Returns the first violating index in storage order, if any, and raises
@@ -396,22 +397,12 @@ def weighted_lip_bound_check(table: VdpTable, alpha: Sequence[int]) -> Lipschitz
     return LipschitzVerdict(m is None, _shape(weight(alpha, table.arity)), table.level, violation)
 
 
-def lip_alpha_check_uni(table: VdpTable, alpha: int) -> LipschitzVerdict:
-    """Check ord(B_m) >= floor(log_p m) - alpha, equivalent to p^alpha-Lipschitz."""
-    return weighted_lip_bound_check(table, (alpha,))
-
-
-def normalize_weighted(table: VdpTable, alpha: Sequence[int]) -> VdpTable:
+def normalize_weighted(table: VdpTable, alpha: int | Sequence[int]) -> VdpTable:
     """Attach unit-scale coefficients a_m with A_m = p^shift * a_m.
 
     Requires the coefficient bound to hold; the shift down is then exact.
     """
     return replace(table, alpha=alpha)
-
-
-def normalize_alpha(table: VdpTable, alpha: int) -> VdpTable:
-    """Attach b_m = B_m / p^(bound_log(m) - alpha) to a one-variable table."""
-    return normalize_weighted(table, (alpha,))
 
 
 def denormalize_weighted(table: VdpTable) -> VdpTable:
@@ -421,6 +412,10 @@ def denormalize_weighted(table: VdpTable) -> VdpTable:
     return replace(table, alpha=None)
 
 
+# the arity-1 names: the general functions take a bare int weight, or one value at arity 1
+vdp_eval_uni = vdp_eval_multi
+lip_alpha_check_uni = weighted_lip_bound_check
+normalize_alpha = normalize_weighted
 denormalize_alpha = denormalize_weighted
 
 

@@ -6,15 +6,17 @@ through core; a local prefix test or digit walk would bring back a precision
 rule of its own. Sampled checks hand their draws to core's `sampled_scan`; a
 local seeded loop would bring back a report of its own. Consumers evaluate F
 on residue tuples through core's `on_residues`; a point built per evaluation
-would bring back a per-call adapter of its own.
+would bring back a per-call adapter of its own. Every class that serves
+`on_residues` is a `core.Evaluator`, whose `__call__` is the only one.
 """
 import ast
 import gc
+import importlib
 import weakref
 from pathlib import Path
 
 import padicvdp
-from padicvdp.core import PadicPoint, on_residues
+from padicvdp.core import Evaluator, PadicPoint, on_residues
 from padicvdp.dsl import FuncDef, parse
 
 PACKAGE = Path(padicvdp.__file__).parent
@@ -30,7 +32,6 @@ RANDOM_BUILDERS = {("cli.py", "_cmd_lipschitz"), ("cli.py", "_cmd_expand")}
 # public boundaries that take or return a point, never a consumer's evaluation loop
 POINT_BUILDERS = {
     ("vdp.py", "e_m"),
-    ("vdp.py", "vdp_eval_uni"),
     ("vdp.py", "projection"),
     ("hensel.py", "hensel_lift_multi"),  # the returned root
     ("cli.py", "_cmd_expand"),  # the spot check
@@ -109,6 +110,29 @@ def test_only_the_sampled_scan_builds_a_random_generator():
 def test_only_core_and_the_public_boundaries_build_points():
     builders = {(module, scope) for module, scope, _ in _found(_builds_a_point)}
     assert builders == POINT_BUILDERS | {("core.py", "on_residues")}
+
+
+def _classes_defining(method: str):
+    """(module, class) for every class in the package whose body defines `method`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"padicvdp.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == method for item in node.body
+            ):
+                yield path.name, getattr(module, node.name)
+
+
+def test_every_class_serving_residues_is_an_evaluator():
+    servers = list(_classes_defining("on_residues"))
+    assert {(module, cls.__name__) for module, cls in servers} == {
+        ("dsl.py", "FuncDef"), ("vdp.py", "VdpTable")}
+    assert all(issubclass(cls, Evaluator) for _, cls in servers)
+
+
+def test_only_the_evaluator_base_defines_call():
+    assert [(module, cls) for module, cls in _classes_defining("__call__")] == [
+        ("core.py", Evaluator)]
 
 
 def test_the_compiled_form_of_an_earlier_expression_is_not_kept():

@@ -10,6 +10,7 @@ import pytest
 import padicvdp
 from padicvdp import cli
 from padicvdp.cli import main
+from padicvdp.core import PrecisionExhaustedError
 from padicvdp.vdp import VdpTable, normalize_alpha
 
 from support import FERMAT_DIFF_TEXT, QUINTIC_TEXT
@@ -234,6 +235,16 @@ class TestTableValidation:
         data.update(alpha=0, b=data["B"])
         self.assert_config_error(*self.lipschitz_on(capsys, tmp_path, data))
 
+    @pytest.mark.parametrize("data, message", [
+        ({"p": 7, "K": 1, "N": 1, "B": {}}, "table field B must be a list"),
+        ({"p": 4, "K": 1, "N": 1, "B": [[0]] * 4}, "table prime 4 is not prime"),
+        ({"p": 7, "K": 0, "N": 1, "B": [[0]]}, "K >= 1"),
+    ], ids=["mapping-for-list", "non-prime", "level-zero"])
+    def test_a_malformed_header_is_a_config_error(self, capsys, tmp_path, data, message):
+        code, out, err = self.lipschitz_on(capsys, tmp_path, data)
+        self.assert_config_error(code, out, err)
+        assert message in json.loads(err)["error"]["message"]
+
     def test_valid_normalized_table_is_read(self, capsys, tmp_path):
         data = self.stored_table(capsys, tmp_path, "--level", "2")
         plain = self.lipschitz_on(capsys, tmp_path, data)
@@ -377,6 +388,22 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "roots", "--prime", "7", "--expr", "x1 +")
         assert code == 2
         assert "parse-error" in err
+
+    @pytest.mark.parametrize("expr, message", [
+        ("x1 + 1/0", "zero denominator (line 1, column 8)"),
+        ("x1 $ 2", "unexpected character '$' (line 1, column 4)"),
+        ("(x1 + 1", "expected ')', found 'end of input' (line 1, column 8)"),
+    ], ids=["zero-denominator", "unexpected-character", "missing-parenthesis"])
+    def test_malformed_expression_text_is_a_parse_error(self, capsys, expr, message):
+        code, out, err = run_cli(capsys, "eval", "--prime", "7", "--expr", expr, "--point", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"category": "parse-error", "message": message}
+
+    def test_a_negative_denominator_is_accepted(self, capsys):
+        values = [run_json(capsys, "eval", "--prime", "7", f"--expr={expr}", "--point", "1")
+                  for expr in ("3/-5", "-3/5")]
+        assert values[0][0] == values[1][0] == 0
+        assert values[0][1]["result"] == values[1][1]["result"]
 
     def test_precision_exhausted(self, capsys):
         code, out, err = run_cli(
@@ -544,20 +571,56 @@ class TestErrorsAndDeterminism:
         assert "undecided" not in pair and pair["violations"] > 0
         assert 100 in [v % 343 for v in pair["first_violation"]]
 
-    def test_bound_violation_wins_over_an_undecided_projection_tier(self, capsys, tmp_path):
+    @staticmethod
+    def starved_pair_table(tmp_path, violation: bool) -> Path:
         side = 2**3
         entries = {f"({i},{j})": [0] for i in range(side) for j in range(side)}
-        entries["(2,0)"] = [1]  # order 1 needed, and the one known digit is 1
+        if violation:
+            entries["(2,0)"] = [1]  # order 1 needed, and the one known digit is 1
         path = tmp_path / "viol2.json"
         path.write_text(json.dumps({"p": 2, "n": 2, "K": 3, "N": 1, "A": entries}))
+        return path
+
+    def test_bound_violation_on_a_starved_table_of_arity_two(self, capsys, tmp_path):
+        path = self.starved_pair_table(tmp_path, violation=True)
         code, payload = run_json(
             capsys, "lipschitz", "--prime", "2", "--table", str(path), "--alpha", "0,0",
         )
         assert code == 1
         tiers = payload["result"]["tiers"]
         assert tiers["necessary-bound"]["violation"] == [2, 0]
-        assert "undecided" in tiers["projection-sampled"]
+        assert tiers["projection-sampled"] == {"applicable": False}
         assert "undecided" not in tiers["pair-sampled"]  # its points carry K digits
+
+    def test_a_stored_table_is_not_projected_at_any_arity(self, capsys, tmp_path):
+        # a projection at level K is a line of the table's own grid, decided by the bound tier;
+        # expanding one needed K digits, so N = 1 < K = 3 exited 4 before
+        path = self.starved_pair_table(tmp_path, violation=False)
+        code, payload = run_json(
+            capsys, "lipschitz", "--prime", "2", "--table", str(path), "--alpha", "2,2",
+            "--projection-samples", "100000000",  # charged to --expr and --func only
+        )
+        assert code == 0 and payload["result"]["verdict"] == "no-violation-found"
+        tiers = payload["result"]["tiers"]
+        assert tiers["necessary-bound"]["holds"]
+        assert tiers["projection-sampled"] == {"applicable": False}
+        assert tiers["pair-sampled"]["ok"]
+
+    def test_a_violated_tier_wins_over_an_undecided_one(self, capsys, monkeypatch):
+        def undecided(*args, **kwargs):
+            raise PrecisionExhaustedError("deciding the pair (0, 1) needs 9 digits, known 8")
+
+        monkeypatch.setattr(cli, "sampled_weighted_lip_check", undecided)
+        code, payload = run_json(
+            capsys, "lipschitz", "--prime", "7", "--expr", FERMAT_DIFF_TEXT,
+            "--level", "2", "--precision", "8", "--alpha", "0",
+        )
+        assert code == 1
+        result = payload["result"]
+        assert result["verdict"] == "violated"
+        assert result["tiers"]["necessary-bound"]["violation"] == 7
+        assert result["tiers"]["pair-sampled"] == {
+            "undecided": "deciding the pair (0, 1) needs 9 digits, known 8"}
 
     def test_starved_table_without_a_violation_is_decided(self, capsys, tmp_path):
         # at alpha = 2 every order is <= 0, so the bound holds; pair points carry K digits,
@@ -639,6 +702,16 @@ CONFIG_ERRORS = {
     "table-prime": (["lipschitz", "--prime", "5", "--table", "{table}", "--alpha", "0"],
                     "table prime 7 does not match --prime 5"),
     "no-function": (["eval", "--prime", "7", "--point", "1"], "one of --expr or --func"),
+    "budget-zero": (["roots", "--prime", "7", "--expr", "x1", "--budget", "0"],
+                    "--budget must be >= 1"),
+    "precision-zero": (["eval", "--prime", "7", "--expr", "x1", "--point", "1",
+                        "--precision", "0"], "--precision must be >= 1"),
+    "vars-zero": (["roots", "--prime", "7", "--expr", "x1", "--vars", "0"], "--vars must be >= 1"),
+    "prime-one": (["roots", "--prime", "1", "--expr", "x1"], "--prime must be prime, got 1"),
+    "expand-level-zero": (["expand", "--prime", "7", "--expr", "x1", "--level", "0"],
+                          "--level must be >= 1, got 0"),
+    "lipschitz-level-zero": (["lipschitz", "--prime", "7", "--expr", "x1", "--level", "0",
+                              "--alpha", "0"], "--level must be >= 1, got 0"),
 }
 
 
@@ -652,6 +725,13 @@ def test_argument_mismatches_are_config_errors(capsys, tmp_path, case):
     error = json.loads(err)["error"]
     assert error["category"] == "config"
     assert message in error["message"]
+
+
+def test_a_non_integer_list_is_refused_by_argparse(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--prime", "7", "--expr", "x1", "--point", "3,x"])
+    assert exit_info.value.code == 2
+    assert "argument --point: invalid _int_list value: '3,x'" in capsys.readouterr().err
 
 
 def test_an_unwritable_output_path_is_a_config_error(capsys, tmp_path):

@@ -5,6 +5,8 @@ oracle `evaluate_tree` walks the tree and builds a PadicInt per node. Both
 must give the same (precision, residue), or raise the same class with the
 same message, the first error in left-to-right order winning.
 """
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +21,10 @@ from padicvdp.dsl import (
     RatConst,
     Sub,
     Var,
+    divp_budget,
 )
 
-from support import evaluate, evaluate_tree
+from support import evaluate, evaluate_tree, random_total_expr
 
 MAX_ARITY = 3
 
@@ -122,3 +125,14 @@ def test_the_last_compiled_form_follows_the_point():
     for p, n, values in [(7, 4, (5,)), (7, 6, (5,)), (3, 4, (5,)), (7, 4, (5, 1)), (7, 4, (5,))]:
         point = PadicPoint.from_integers(values, p, n)
         assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32))
+def test_inputs_padded_by_the_divp_budget_give_exactly_the_asked_precision(p, n, N, seed):
+    # so `eval` never has digits to truncate: each divp on a path costs its exponent
+    rng = random.Random(seed)
+    body = random_total_expr(rng, n, p)
+    work = N + divp_budget(body)
+    point = PadicPoint.from_integers([rng.randrange(p**work) for _ in range(n)], p, work)
+    assert evaluate(body, point).precision == N

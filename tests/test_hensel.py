@@ -13,7 +13,7 @@ from padicvdp.hensel import (
     roots_mod_uni,
     well_defined_residue_check,
 )
-from padicvdp.vdp import VdpTable, as_point_evaluator
+from padicvdp.vdp import VdpTable
 
 from support import (
     FERMAT_DIFF_TEXT,
@@ -81,7 +81,7 @@ class TestResidueCheck:
         coeffs[4] = from_integer(1, 3, 4)
         table = VdpTable(prime=3, level=2, coeffs=tuple(coeffs))
         report = well_defined_residue_check(
-            as_point_evaluator(table.function()), 1, 0, 1, 3, samples=300, seed=1,
+            table, 1, 0, 1, 3, samples=300, seed=1,
             eval_precision=4,
         )
         assert not report.ok
@@ -261,6 +261,15 @@ class TestLiftMultivariate:
         trace = hensel_lift_multi(F, (1, 0), (3, 0), 1, 6, 3, coordinate=1)
         assert trace.status == STATUS_RESIDUAL_NONLIFTABLE
         assert trace.failed_level == 2
+
+    def test_an_empty_level_range_still_replays_the_target(self):
+        # levels run from l0 + max(alpha) = 2 up to the target 2, so none runs; the start
+        # passes the precondition mod 3, but the replay finds F = -3, of order 1 < 2
+        F = FuncDef(2, parse("x1 - 3", 2))
+        trace = hensel_lift_multi(F, (0, 1), (0, 0), 1, 2, 3, coordinate=1)
+        assert trace.status == STATUS_RESIDUAL_NONLIFTABLE
+        assert trace.failed_level == 1
+        assert trace.levels == () and trace.root is None
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_lifted_root_reduces_into_brute_force_roots(self, p):

@@ -204,6 +204,13 @@ class TestExpandAndEval:
         with pytest.raises(ValueError, match="prime"):
             vdp_expand_multi(lambda pt: from_integer(1, 5, pt.precision), 1, 2, 3, 4)
 
+    def test_a_coefficient_index_of_another_arity_or_out_of_range_is_refused(self):
+        table = vdp_expand_multi(dsl_fn("x1 + x2", 2), 2, 2, 3, 5)
+        with pytest.raises(ValueError, match="multi-index arity 1, table arity 2"):
+            table.coefficient((4,))
+        with pytest.raises(ValueError, match=r"index entry 9 outside \[0, 9\)"):
+            table.coefficient((0, 9))
+
     def test_eval_needs_precision(self):
         table = vdp_expand_multi(dsl_fn("x1 + x2", 2), 2, 2, 3, 5)
         from padicvdp.core import PrecisionExhaustedError
@@ -234,14 +241,16 @@ class TestGridLookup:
         point = PadicPoint.from_integers(x, table.prime, precision)
         if precision < table.level:
             with pytest.raises(PrecisionExhaustedError, match=f"needs {table.level} digits"):
-                vdp_eval_multi(table, point)
+                table(point)
             return
         positions = initial_part_positions_int(x, table.prime, table.level)
         chain = [table.coeffs[pos] for pos in positions]
         known = min(c.precision for c in chain)
-        got = vdp_eval_multi(table, point)
+        got = table(point)
         assert got.precision == known
         assert got.residue == sum(c.residue for c in chain) % table.prime**known
+        if table.arity == 1:  # the table is called on one value as well
+            assert table(point.coords[0]) == got
 
     def test_the_grid_is_built_once_per_table(self, monkeypatch):
         calls = []
@@ -251,9 +260,8 @@ class TestGridLookup:
         p, level = 3, 2
         coeffs = tuple(from_integer(rng.randrange(3**4), p, 4) for _ in range(p ** (2 * level)))
         table = VdpTable(prime=p, level=level, coeffs=coeffs, arity=2)
-        F = table.function()
         for _ in range(1000):
-            F(PadicPoint.from_integers((rng.randrange(81), rng.randrange(81)), p, 4))
+            table(PadicPoint.from_integers((rng.randrange(81), rng.randrange(81)), p, 4))
         assert len(calls) == 1
 
 

@@ -153,7 +153,7 @@ class TestEval:
     def test_table_function_round_trips_through_expand(self):
         rng = random.Random(3)
         table = random_table(rng, 3, 2, 5)
-        again = vdp_expand_uni(table.function(), 2, 3, 5)
+        again = vdp_expand_uni(table, 2, 3, 5)
         assert again.coeffs == table.coeffs
 
 
