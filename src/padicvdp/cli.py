@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -21,12 +20,12 @@ from .core import (
     EnumerationBudgetError,
     InvalidPrimeError,
     PadicError,
-    PadicPoint,
     PrecisionExhaustedError,
     from_integer,
     is_prime,
+    on_residues,
     power_within,
-    vanishes_to,
+    sampled_scan,
     weight,
 )
 from .dsl import (
@@ -45,6 +44,7 @@ from .hensel import (
 )
 from .vdp import (
     VdpTable,
+    bound_log,
     lip_alpha_check_uni,
     projection,
     sampled_weighted_lip_check,
@@ -177,6 +177,10 @@ def _validate_common(args) -> None:
         raise ValueError(f"--precision must be >= 1, got {args.precision}")
     if args.vars < 1:
         raise ValueError(f"--vars must be >= 1, got {args.vars}")
+    for flag in ("samples", "projection_samples"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
 
 
 def _sup_norm_fields(ord_exponent: int | None, p: int) -> dict:
@@ -194,20 +198,21 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
     table = vdp_expand_multi(defn, level, arity, p, work, budget=args.budget)
 
     # success postcondition: reconstruction spot check on sampled grid points
-    rng = random.Random(args.seed)
-    checked = min(10, table.size)
-    describe = "the reconstruction at grid point {}".format
-    for _ in range(checked):
+    T, F = on_residues(table, p, work, arity), on_residues(defn, p, work, arity)
+
+    def draw(rng):
         m = tuple(rng.randrange(table.side) for _ in range(arity))
-        point = PadicPoint.from_integers(m, p, work)
-        got, want = table(point), defn(point)
-        if not vanishes_to(got - want, table.precision, describe, m):
-            raise PadicError(f"internal: reconstruction mismatch at grid point {m}")
+        return m, T(m) - F(m), table.precision
+
+    spot = sampled_scan(draw, min(10, table.size), args.seed,
+                        "the reconstruction at grid point {}".format)
+    if not spot.ok:
+        raise PadicError(f"internal: reconstruction mismatch at grid point {spot.first_violation}")
 
     result = {
         "table": table.to_json(),
         "arity": arity,
-        "spot_check": {"points": checked, "ok": True},
+        "spot_check": {"points": spot.samples, "ok": True},
         **_sup_norm_fields(table.sup_norm_ord(), p),
     }
     config = _config_echo(args, level=level, arity=arity)
@@ -217,15 +222,11 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
 def _cmd_eval(args) -> tuple[dict, dict, int]:
     defn = _load_function(args)
     p = args.prime
-    if len(args.point) != defn.arity:
-        raise ValueError(
-            f"point has {len(args.point)} coordinates, function arity is {defn.arity}"
-        )
     if any(v < 0 for v in args.point):
         raise ValueError("point coordinates must be >= 0")
     work = args.precision + divp_budget(defn.body)
-    point = PadicPoint.from_integers(args.point, p, work)
-    value = defn(point)  # its precision is work minus the divp budget, i.e. --precision
+    F = on_residues(defn, p, work, len(args.point))  # refuses another arity
+    value = F(tuple(v % p**work for v in args.point))  # known to work - divp budget = --precision
     result = {"value": value.to_json(), "text": str(value)}
     config = _config_echo(args, arity=defn.arity, point=list(args.point))
     return result, config, EXIT_OK
@@ -263,22 +264,21 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
     def projection_tier() -> tuple[dict, bool]:
         if not projects:
             return {"applicable": False}, False
-        witness = None
-        rng = random.Random(args.seed)
         modulus = p**work
-        for coord in range(1, arity + 1):
-            for _ in range(args.projection_samples):
-                fixed_ints = [rng.randrange(modulus) for _ in range(arity - 1)]
-                fixed = tuple(from_integer(v, p, work) for v in fixed_ints)
-                proj = projection(F, coord, fixed)
-                sub_table = vdp_expand_uni(proj, level, p, work, budget=args.budget)
-                verdict = lip_alpha_check_uni(sub_table, alpha[coord - 1])
-                if not verdict.holds and witness is None:
-                    witness = {
-                        "coordinate": coord,
-                        "fixed": fixed_ints,
-                        "violation": verdict.violation,
-                    }
+        coords = (c for c in range(1, arity + 1) for _ in range(args.projection_samples))
+
+        def draw(rng):  # a violating projection's check: its first violating A_m
+            coord = next(coords)
+            fixed = [rng.randrange(modulus) for _ in range(arity - 1)]
+            proj = projection(F, coord, [from_integer(v, p, work) for v in fixed])
+            sub_table = vdp_expand_uni(proj, level, p, work, budget=args.budget)
+            m = lip_alpha_check_uni(sub_table, alpha[coord - 1]).violation
+            if m is None:
+                return None
+            site = {"coordinate": coord, "fixed": fixed, "violation": m}
+            return site, sub_table.coefficient(m), bound_log(m, p) - alpha[coord - 1]
+
+        witness = sampled_scan(draw, fixings, args.seed, "projection {}".format).first_violation
         return {
             "applicable": True,
             "samples_per_coordinate": args.projection_samples,
@@ -341,8 +341,9 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
             f"--start has {len(args.start)} entries, function arity is {defn.arity}"
         )
     work = target + divp_budget(defn.body)
-    if target * work > args.budget:  # up to `target` levels, each reading `work`-digit values
-        raise EnumerationBudgetError(f"lifting to {target} digits reads {target} x {work} "
+    levels = max(target, args.l0 + max(alpha))  # the start residues are read to l0 + alpha
+    if levels * work > args.budget:  # up to `levels` levels, each reading `work`-digit values
+        raise EnumerationBudgetError(f"lifting to {target} digits reads {levels} x {work} "
                                      f"digits, budget is {args.budget}")
     coordinate = None if args.auto_coordinate else (args.coordinate or 1)
     trace = hensel_lift_multi(defn, alpha, args.start, args.l0, target, p,
@@ -363,14 +364,18 @@ def _cmd_wellposed(args) -> tuple[dict, dict, int]:
     p, k = args.prime, args.residue_level
     if k is not None:
         alpha = _resolve_alpha(args.alpha, defn, defn.arity, default_zero=True)
+        residue_work = k + 2 + divp_budget(defn.body)
+        reads = max(args.samples, 1) * residue_work  # p^k is formed even with no samples
+        if reads > args.budget:
+            raise EnumerationBudgetError(f"residue check reads {reads} digits, "
+                                         f"budget is {args.budget}")
     work = args.precision + divp_budget(defn.body)
     report = well_defined_check(defn, defn.arity, p, work, args.samples, seed=args.seed)
     result: dict = {"totality": report.to_json()}
     failed = not report.ok
     if k is not None:
         residue = well_defined_residue_check(defn, k, alpha, defn.arity, p, args.samples,
-                                             seed=args.seed,
-                                             eval_precision=k + 2 + divp_budget(defn.body))
+                                             seed=args.seed, eval_precision=residue_work)
         result["residue"] = residue.to_json()
         failed = failed or not residue.ok
     config = _config_echo(args, arity=defn.arity)

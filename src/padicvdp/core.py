@@ -40,6 +40,7 @@ __all__ = [
     "weight",
     "vanishes_to",
     "vanishing_scan",
+    "failed_check",
     "SampledReport",
     "sampled_scan",
     "Evaluator",
@@ -417,6 +418,11 @@ def vanishing_scan(checks: Iterable[tuple], describe: Callable) -> tuple[int, ob
     if short is not None and not failures:
         vanishes_to(short[0], short[1], describe, short[2])  # undecided, so it raises
     return failures, first
+
+
+def failed_check(site, p: int) -> tuple:
+    """The check of a sample where F is undefined: 1 does not vanish to order 1."""
+    return site, _from_residue(1, p, 1), 1
 
 
 def _json(value):

@@ -37,7 +37,7 @@ from .core import (
     _digit_blocks,
     _digit_walk,
     _from_residue,
-    from_integer,
+    failed_check,
     from_rational,
     on_residues,
     sampled_scan,
@@ -662,14 +662,13 @@ def well_defined_check(
     """
     F = on_residues(FuncDef(arity, F) if isinstance(F, FuncExpr) else F, prime, precision, arity)
     modulus = prime**precision
-    inexact = from_integer(1, prime, 1)  # a failed division's check: 1 does not vanish to order 1
 
     def draw(rng):
         values = tuple(rng.randrange(modulus) for _ in range(arity))
         try:
             F(values)
         except InexactDivisionError:
-            return values, inexact, 1
+            return failed_check(values, prime)
         return None
 
     return sampled_scan(draw, samples, seed, "the totality check at {}".format, "failures",

@@ -35,10 +35,12 @@ from typing import Callable, Sequence
 from .core import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
+    InexactDivisionError,
     PadicError,
     PadicInt,
     PadicPoint,
     SampledReport,
+    failed_check,
     on_residues,
     power_within,
     sampled_scan,
@@ -309,7 +311,8 @@ def well_defined_residue_check(
     """Sampled lifts of residues: F(x + p^k t) must agree with F(x) mod p^(k - max(alpha)).
 
     That is the modulus at which `brute_force_roots_multi` tests roots at level k.
-    The first failing pair (x, y) is two integers at arity 1.
+    A pair where F is undefined fails too. The first failing pair (x, y) is
+    two integers at arity 1.
     """
     alpha = weight(alpha, arity)
     if k < 1 + max(alpha):
@@ -323,8 +326,11 @@ def well_defined_residue_check(
     def draw(rng):
         x = tuple(rng.randrange(step) for _ in range(arity))
         y = tuple(xi + rng.randrange(1, lifts) * step for xi in x)
-        difference = F(y) - F(x)
-        return (_shape(x), _shape(y)), difference, k - max(alpha)
+        site = _shape(x), _shape(y)
+        try:
+            return site, F(y) - F(x), k - max(alpha)
+        except InexactDivisionError:
+            return failed_check(site, prime)
 
     return sampled_scan(draw, samples, seed, "deciding the residues of the pair {}".format,
                         "failures", prime=prime, level=k, alpha=_shape(alpha))

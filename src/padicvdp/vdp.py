@@ -106,7 +106,7 @@ def e_multi(m: Sequence[int], x: PadicPoint) -> int:
 
 def e_m(m: int, x: PadicInt) -> int:
     """Basis indicator: 1 when m is an initial part of x, else 0."""
-    return e_multi((m,), PadicPoint((x,)))
+    return int(initial_part(m, x))
 
 
 def _check_count(prime: int, exponent: int, count: int, what: str) -> None:

@@ -24,18 +24,11 @@ PACKAGE = Path(padicvdp.__file__).parent
 # (module, enclosing function) pairs allowed to read `.digits` outside core
 DIGIT_READERS = {("vdp.py", "VdpTable.to_json")}
 
-# (module, enclosing function) pairs that build a random.Random besides core's one scan:
-# the projection tier's fixed points and expand's spot check draw no sampled verdict
-RANDOM_BUILDERS = {("cli.py", "_cmd_lipschitz"), ("cli.py", "_cmd_expand")}
-
 # (module, enclosing function) pairs that build a PadicPoint besides core's one adapter:
 # public boundaries that take or return a point, never a consumer's evaluation loop
 POINT_BUILDERS = {
-    ("vdp.py", "e_m"),
     ("vdp.py", "projection"),
     ("hensel.py", "hensel_lift_multi"),  # the returned root
-    ("cli.py", "_cmd_expand"),  # the spot check
-    ("cli.py", "_cmd_eval"),
 }
 
 
@@ -95,16 +88,19 @@ def test_only_core_calls_divmod():
     assert calls == []
 
 
+def _imports_random(node) -> bool:
+    """`import random` (aliased or not) or `from random import ...`."""
+    return (isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "random")
+
+
 def test_only_the_sampled_scan_builds_a_random_generator():
     builders = {(module, scope) for module, scope, _ in _uses("Random")}
-    assert builders == RANDOM_BUILDERS | {("core.py", "sampled_scan")}
-    imports = [
-        (path.name, node.lineno)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ImportFrom) and node.module == "random"
-    ]
-    assert imports == []  # `from random import Random` would hide a builder from the scan
+    assert builders == {("core.py", "sampled_scan")}
+    # `from random import Random` would hide a builder from the scan above, and an import
+    # outside core could draw without one, e.g. a module-level random.randrange
+    imports = {(module, type(node).__name__) for module, _, node in _found(_imports_random)}
+    assert imports == {("core.py", "Import")}
 
 
 def test_only_core_and_the_public_boundaries_build_points():

@@ -367,6 +367,16 @@ class TestWellposed:
         assert code == 0
         assert payload["result"]["residue"]["ok"]
 
+    def test_residue_level_counts_undefined_pairs_as_failures(self, capsys):
+        argv = ["wellposed", "--prime", "7", "--expr", "divp(x1, 1)", "--samples", "50"]
+        _, alone = run_json(capsys, *argv)
+        code, payload = run_json(capsys, *argv, "--residue-level", "2", "--alpha", "1")
+        assert code == 1
+        assert payload["result"]["totality"] == alone["result"]["totality"]
+        assert alone["result"]["totality"]["failures"] == 38
+        residue = payload["result"]["residue"]
+        assert not residue["ok"] and residue["failures"] > 0
+
     @pytest.mark.parametrize("alpha, code", [("1,0", 0), ("0,0", 1)])
     def test_residue_level_in_two_variables(self, capsys, alpha, code):
         # F mod 7^(2 - max(alpha)) depends on x mod 7^2 only at alpha (1, 0)
@@ -393,7 +403,11 @@ class TestErrorsAndDeterminism:
         ("x1 + 1/0", "zero denominator (line 1, column 8)"),
         ("x1 $ 2", "unexpected character '$' (line 1, column 4)"),
         ("(x1 + 1", "expected ')', found 'end of input' (line 1, column 8)"),
-    ], ids=["zero-denominator", "unexpected-character", "missing-parenthesis"])
+        ("x1^x1", "expected a natural number, found 'x1' (line 1, column 4)"),
+        ("3/x1", "expected an integer denominator (line 1, column 3)"),
+        ("digitsum(x1, 1, 0)", "digitsum exponent must be >= 1 (line 1, column 1)"),
+    ], ids=["zero-denominator", "unexpected-character", "missing-parenthesis",
+            "variable-exponent", "variable-denominator", "digitsum-exponent-zero"])
     def test_malformed_expression_text_is_a_parse_error(self, capsys, expr, message):
         code, out, err = run_cli(capsys, "eval", "--prime", "7", "--expr", expr, "--point", "1")
         assert code == 2 and out == ""
@@ -448,6 +462,12 @@ class TestErrorsAndDeterminism:
          "--projection-samples", "100000000"],
         ["eval", "--prime", "1000000000000000003", "--expr", "x1", "--point", "1"],
         ["eval", "--prime", "7", "--expr", "x1", "--point", "3", "--precision", "100000000"],
+        ["lift", "--prime", "7", "--expr", "x1", "--start", "0", "--l0", "100000000"],
+        ["lift", "--prime", "7", "--expr", "x1", "--start", "0", "--alpha", "100000000"],
+        ["wellposed", "--prime", "7", "--expr", "x1", "--samples", "1",
+         "--residue-level", "100000000"],
+        ["wellposed", "--prime", "7", "--expr", "x1", "--samples", "0",
+         "--residue-level", "100000000"],
     ])
     def test_counts_fail_on_budget_before_any_work(self, capsys, argv):
         started = time.monotonic()
@@ -712,6 +732,18 @@ CONFIG_ERRORS = {
                           "--level must be >= 1, got 0"),
     "lipschitz-level-zero": (["lipschitz", "--prime", "7", "--expr", "x1", "--level", "0",
                               "--alpha", "0"], "--level must be >= 1, got 0"),
+    "negative-samples": (["lipschitz", "--prime", "7", "--vars", "2", "--expr", "x1 + x2",
+                          "--alpha", "0,0", "--level", "1", "--samples", "-5"],
+                         "--samples must be >= 0, got -5"),
+    "negative-projection-samples": (["lipschitz", "--prime", "7", "--vars", "2", "--expr",
+                                     "x1 + x2", "--alpha", "0,0", "--level", "1",
+                                     "--projection-samples", "-1"],
+                                    "--projection-samples must be >= 0, got -1"),
+    "negative-wellposed-samples": (["wellposed", "--prime", "7", "--expr",
+                                    "divp(x1 - x1^7, 1)", "--samples", "-5"],
+                                   "--samples must be >= 0, got -5"),
+    "eval-arity": (["eval", "--prime", "7", "--expr", "x1", "--point", "1,2"],
+                   "function of arity 1 applied to point of arity 2"),
 }
 
 
@@ -751,6 +783,20 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "roots", "--prime", "7", "--expr", "x1")
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": {"category": "internal", "message": "RuntimeError: boom"}}
+
+
+def test_a_failed_reconstruction_spot_check_is_an_internal_error(capsys, monkeypatch):
+    expand = cli.vdp_expand_multi
+
+    def another_functions_table(defn, *rest, **options):
+        return expand(cli.FuncDef(1, cli.parse("x1 + 1", 1)), *rest, **options)
+
+    monkeypatch.setattr(cli, "vdp_expand_multi", another_functions_table)
+    code, out, err = run_cli(capsys, "expand", "--prime", "3", "--expr", "x1", "--level", "2")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["category"] == "evaluation"
+    assert error["message"].startswith("internal: reconstruction mismatch at grid point (")
 
 
 def run_module(*argv) -> subprocess.CompletedProcess:

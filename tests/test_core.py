@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from padicvdp.core import (
     initial_part,
     is_prime,
     m_star,
+    on_residues,
     vanishes_to,
     vanishing_scan,
     weight,
@@ -260,6 +262,31 @@ class TestPoint:
     def test_json_round_trip(self):
         pt = PadicPoint.from_integers((3, 9), 3, 5)
         assert PadicPoint.from_json(pt.to_json()) == pt
+
+    def test_a_list_of_coordinates_is_kept_as_a_tuple(self):
+        pt = PadicPoint([from_integer(9, 3, 5), from_integer(6, 3, 5)])
+        assert pt.coords == (from_integer(9, 3, 5), from_integer(6, 3, 5))
+        assert pt.ord() == 1  # 6 = 2 * 3 has the least order
+
+
+def _seven(value: int) -> PadicInt:
+    return from_integer(value, 7, 5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: digit_length(-1, 7), ValueError, "digit_length needs m >= 0, got -1"),
+    (lambda: _seven(3).mul_pow_p(-1), ValueError, "exponent must be >= 0, got -1"),
+    (lambda: _seven(3) + 3, TypeError, "expected PadicInt, got int"),
+    (lambda: from_integer(3, 7, 0), ValueError, "precision must be >= 1, got 0"),
+    (lambda: from_rational(1, 2, 7, 0), ValueError, "precision must be >= 1, got 0"),
+    (lambda: on_residues(lambda x: x, 7, 0, 1), ValueError, "precision must be >= 1, got 0"),
+    (lambda: initial_part(-1, _seven(3)), ValueError, "initial parts are non-negative, got -1"),
+    (lambda: PadicPoint(()), ValueError, "a point needs at least one coordinate"),
+], ids=["digit-length", "mul-pow-p", "add-int", "from-integer", "from-rational",
+        "on-residues", "initial-part", "empty-point"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestRendering:

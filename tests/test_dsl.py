@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from itertools import product
@@ -25,7 +26,9 @@ from padicvdp.dsl import (
     Pow,
     RatConst,
     Sub,
+    FuncDef,
     Var,
+    as_univariate,
     divp_budget,
     funcdef_from_json,
     parse,
@@ -300,6 +303,20 @@ class TestFuncDef:
     def test_alpha_sign_checked(self):
         with pytest.raises(ValueError):
             parse_funcdef({"arity": 1, "alpha": [-1], "body": "x1"})
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: FuncDef(0, Var(1)), ValueError, "arity must be >= 1, got 0"),
+        (lambda: parse("x1", 0), ValueError, "arity must be >= 1, got 0"),
+        (lambda: FuncDef(1, Var(1)).to_json(), ValueError,
+         "cannot serialize a definition without source text"),
+        (lambda: parse_funcdef([]), ValueError, "malformed function definition: list indices"),
+        (lambda: as_univariate(FuncDef(2, Var(2))), ValueError, "expected arity 1, got 2"),
+        (lambda: divp_budget("x1"), TypeError, "not an expression node: 'x1'"),
+    ], ids=["funcdef-arity", "parse-arity", "json-without-source", "not-a-mapping",
+            "univariate-of-arity-two", "not-a-node"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            call()
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from padicvdp.core import EnumerationBudgetError, PrecisionExhaustedError, from_integer
@@ -306,6 +308,26 @@ class TestBruteForce:
         F = multi("x1 + x2", 2)
         with pytest.raises(EnumerationBudgetError):
             brute_force_roots_multi(F, 5, (0, 0), 2, 7, budget=1000)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda F: hensel_lift_multi(F, (0,), (0,), 1, 0, 7), "target precision must be >= 1, got 0"),
+    (lambda F: hensel_lift_multi(F, (0,), (0,), 1, 6, 7, eval_precision=5),
+     "evaluation precision 5 below target precision 6"),
+    (lambda F: well_defined_residue_check(F, 1, (1,), 1, 7, 10),
+     "level k must be >= 1 + max(alpha), got k=1, alpha=(1,)"),
+    (lambda F: well_defined_residue_check(F, 2, (0,), 1, 7, 10, eval_precision=2),
+     "evaluation precision 2 leaves no room above level 2"),
+    (lambda F: brute_force_roots_multi(F, 2, (0,), 1, 7, eval_precision=1),
+     "evaluation precision 1 below level 2"),
+], ids=["lift-target", "lift-eval-precision", "residue-level", "residue-eval-precision",
+        "roots-eval-precision"])
+def test_refusals_come_before_any_evaluation(call, message):
+    def never(x):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call(never)
 
 
 class TestProjectionRoots:

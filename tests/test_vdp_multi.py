@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations, product
 
 import pytest
@@ -79,6 +80,26 @@ class TestIndicatorProduct:
     def test_ball_membership_per_coordinate(self):
         x = PadicPoint.from_integers((12, 1), 3, 4)
         assert e_multi((3, 1), x) == 1  # 12 = 3 mod 9 and 1 = 1 mod 3
+
+
+def _never(x):
+    raise AssertionError("evaluated")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: e_multi((1, 2), PadicPoint.from_integers((1,), 7, 3)),
+     "multi-index of arity 2 against point of arity 1"),
+    (lambda: vdp_expand_multi(_never, 0, 1, 7, 4), "level must be >= 1, got 0"),
+    (lambda: vdp_expand_multi(_never, 1, 0, 7, 4), "arity must be >= 1, got 0"),
+    (lambda: VdpTable.from_json({"p": 7, "K": 1, "N": 1, "B": [[0]] * 6 + [5]}),
+     "coefficient entry must be a digit list, got 5"),
+    (lambda: VdpTable(7, 1, (from_integer(0, 5, 2),) * 7),
+     "coefficient prime does not match table prime"),
+], ids=["indicator-arity", "expand-level", "expand-arity", "entry-not-a-list",
+        "coefficient-prime"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestCoefficientClosedForm:
