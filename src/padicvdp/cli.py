@@ -183,6 +183,15 @@ def _validate_common(args) -> None:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
 
 
+def _work(digits: int, defn: FuncDef, budget: int) -> int:
+    """Input digits that give `digits` digits of F: each divp on a path costs its exponent."""
+    work = digits + divp_budget(defn.body)
+    if work > budget:  # checked before any compile, which forms p^work
+        raise EnumerationBudgetError(f"{digits} digits of F read {work} digits of input, "
+                                     f"budget is {budget}")
+    return work
+
+
 def _sup_norm_fields(ord_exponent: int | None, p: int) -> dict:
     if ord_exponent is None:
         return {"sup_norm": "0", "sup_norm_exponent": None}
@@ -194,7 +203,7 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
     p, level, arity = args.prime, args.level, defn.arity
     if level < 1:
         raise ValueError(f"--level must be >= 1, got {level}")
-    work = args.precision + divp_budget(defn.body)
+    work = _work(args.precision, defn, args.budget)
     table = vdp_expand_multi(defn, level, arity, p, work, budget=args.budget)
 
     # success postcondition: reconstruction spot check on sampled grid points
@@ -224,7 +233,7 @@ def _cmd_eval(args) -> tuple[dict, dict, int]:
     p = args.prime
     if any(v < 0 for v in args.point):
         raise ValueError("point coordinates must be >= 0")
-    work = args.precision + divp_budget(defn.body)
+    work = _work(args.precision, defn, args.budget)
     F = on_residues(defn, p, work, len(args.point))  # refuses another arity
     value = F(tuple(v % p**work for v in args.point))  # known to work - divp budget = --precision
     result = {"value": value.to_json(), "text": str(value)}
@@ -246,7 +255,7 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
         level, arity = args.level, defn.arity
         if level < 1:
             raise ValueError(f"--level must be >= 1, got {level}")
-        work = args.precision + divp_budget(defn.body)
+        work = _work(args.precision, defn, args.budget)
     alpha = _resolve_alpha(args.alpha, defn, arity, default_zero=False)
     projects = arity > 1 and defn is not None  # a table's projections lie in its own grid
     fixings = arity * args.projection_samples if projects else 0
@@ -317,7 +326,7 @@ def _cmd_roots(args) -> tuple[dict, dict, int]:
     defn = _load_function(args)
     p, k = args.prime, args.level
     alpha = _resolve_alpha(args.alpha, defn, defn.arity, default_zero=True)
-    work = k + divp_budget(defn.body)
+    work = _work(k, defn, args.budget)
     roots = brute_force_roots_multi(defn, k, alpha, defn.arity, p, eval_precision=work,
                                     budget=args.budget)
     residues = [r[0] if defn.arity == 1 else list(r) for r in roots]
@@ -340,7 +349,7 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
         raise ValueError(
             f"--start has {len(args.start)} entries, function arity is {defn.arity}"
         )
-    work = target + divp_budget(defn.body)
+    work = _work(target, defn, args.budget)
     levels = max(target, args.l0 + max(alpha))  # the start residues are read to l0 + alpha
     if levels * work > args.budget:  # up to `levels` levels, each reading `work`-digit values
         raise EnumerationBudgetError(f"lifting to {target} digits reads {levels} x {work} "
@@ -364,12 +373,12 @@ def _cmd_wellposed(args) -> tuple[dict, dict, int]:
     p, k = args.prime, args.residue_level
     if k is not None:
         alpha = _resolve_alpha(args.alpha, defn, defn.arity, default_zero=True)
-        residue_work = k + 2 + divp_budget(defn.body)
+        residue_work = _work(k + 2, defn, args.budget)
         reads = max(args.samples, 1) * residue_work  # p^k is formed even with no samples
         if reads > args.budget:
             raise EnumerationBudgetError(f"residue check reads {reads} digits, "
                                          f"budget is {args.budget}")
-    work = args.precision + divp_budget(defn.body)
+    work = _work(args.precision, defn, args.budget)
     report = well_defined_check(defn, defn.arity, p, work, args.samples, seed=args.seed)
     result: dict = {"totality": report.to_json()}
     failed = not report.ok

@@ -8,18 +8,20 @@ than its inputs justify, and exact division by p consumes precision.
 Norms and orders are exact (powers of p as Fractions, never floats).
 
 Everything in this module is immutable and pure; values can be shared
-freely across threads.
+freely across threads. Every record class of the package is a `Value`.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from fractions import Fraction  # imported by the norms that make one
 
 __all__ = [
+    "Value",
     "PadicError",
     "InvalidPrimeError",
     "PrimeMismatchError",
@@ -49,6 +51,83 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7  # evaluations an exhaustive enumeration may spend
+
+
+class _DataclassFields:
+    """A Value class's `__dataclass_fields__`, made on first read from its field tuple.
+
+    `dataclasses.fields` and `dataclasses.replace` then take a Value as the
+    dataclass it stands for, and importing the package loads no dataclasses.
+    """
+
+    def __get__(self, instance, cls) -> dict:
+        import dataclasses
+
+        names, compared = cls.__match_args__, cls._compared or cls.__match_args__
+        defaults = dict(zip(reversed(names), reversed(cls._defaults)))
+        made = dataclasses.make_dataclass(cls.__name__, [
+            (name, object, dataclasses.field(default=defaults.get(name, dataclasses.MISSING),
+                                             compare=name in compared)) for name in names])
+        cls.__dataclass_fields__ = made.__dataclass_fields__
+        return made.__dataclass_fields__
+
+
+class Value:
+    """An immutable record of the fields a subclass names once, as `__slots__ = __match_args__`.
+
+    `_defaults` holds the defaults of the last fields. Equality and hashing
+    read the fields in `_compared` (all when None), within one class.
+    `_init` is a frozen dataclass's `__init__`: one slot write per field, then
+    `__post_init__` if the class has one; it is the `__init__` of a subclass
+    that writes none.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _defaults: tuple = ()
+    _compared: tuple[str, ...] | None = None
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__
+        source = "\n".join([
+            f"def _key(self): return ({''.join(f'self.{n}, ' for n in cls._compared or names)})",
+            f"def __init__(self, {', '.join(names)}):",
+            *(f" _set_{name}(self, {name})" for name in names),
+            " self.__post_init__()" if hasattr(cls, "__post_init__") else " pass",
+        ])
+        made: dict = {}  # the slots' own setters are faster than object.__setattr__
+        exec(source, {f"_set_{name}": getattr(cls, name).__set__ for name in names}, made)
+        cls._key, cls._init = made["_key"], made["__init__"]
+        cls._init.__defaults__ = cls._defaults
+        cls._init.__qualname__ = f"{cls.__qualname__}.__init__"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._init
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _asdict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return {name: getattr(self, name) for name in self.__match_args__}
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state) -> None:
+        """Restore a copy or an unpickled value from what `__getstate__` gave: a dict or two."""
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
 
 
 class PadicError(Exception):
@@ -149,8 +228,7 @@ def weight(alpha, arity: int) -> tuple[int, ...]:
     return weights
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PadicInt:
+class PadicInt(Value):
     """A p-adic integer known modulo p^precision.
 
     The stored form is the residue in [0, p^precision); `digits` is a view
@@ -159,9 +237,7 @@ class PadicInt:
     is a different object of knowledge than one known to 4.
     """
 
-    prime: int
-    precision: int
-    residue: int
+    __slots__ = __match_args__ = ("prime", "precision", "residue")
 
     def __init__(self, prime: int, digits) -> None:
         """The value with the given base-p digits, low first; each is validated."""
@@ -174,7 +250,7 @@ class PadicInt:
             if not isinstance(d, int) or not 0 <= d < prime:
                 raise ValueError(f"digit {d!r} out of range for p={prime}")
             residue = residue * prime + d
-        _set(self, prime, len(digits), residue)
+        self._init(prime, len(digits), residue)
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -209,6 +285,8 @@ class PadicInt:
 
     def norm(self) -> Fraction:
         """Exact p-adic absolute value p^(-ord); 0 when no digit is nonzero."""
+        from fractions import Fraction
+
         k = self.ord()
         return Fraction(0) if k == math.inf else Fraction(1, self.prime**k)
 
@@ -323,16 +401,10 @@ def _digit_list(residue: int, p: int, precision: int) -> list[int]:
     return digits[:precision] + [0] * (precision - len(digits))
 
 
-def _set(x: PadicInt, p: int, precision: int, residue: int) -> None:
-    object.__setattr__(x, "prime", p)
-    object.__setattr__(x, "precision", precision)
-    object.__setattr__(x, "residue", residue)
-
-
 def _from_residue(value: int, p: int, precision: int) -> PadicInt:
     """PadicInt for value mod p^precision; p and precision are trusted."""
     x = object.__new__(PadicInt)
-    _set(x, p, precision, value % p**precision)
+    x._init(p, precision, value % p**precision)
     return x
 
 
@@ -430,20 +502,16 @@ def _json(value):
     return [_json(v) for v in value] if isinstance(value, tuple) else value
 
 
-@dataclass(frozen=True)
-class SampledReport:
+class SampledReport(Value):
     """Evidence from one seeded scan: a violation is conclusive, none is evidence, not proof.
 
     JSON names the count by `label`, "violations" or "failures", and lists the
     check's settings, the (key, value) pairs in `echo`, beside it.
     """
 
-    samples: int
-    violations: int
-    first_violation: object
-    seed: int
-    label: str = "violations"
-    echo: tuple = ()
+    __slots__ = __match_args__ = ("samples", "violations", "first_violation", "seed", "label",
+                                  "echo")
+    _defaults = ("violations", ())
 
     @property
     def ok(self) -> bool:
@@ -469,19 +537,17 @@ def sampled_scan(draw: Callable, samples: int, seed: int, describe: Callable,
     return SampledReport(samples, violations, first, seed, label, tuple(echo.items()))
 
 
-@dataclass(frozen=True, slots=True)
-class PadicPoint:
+class PadicPoint(Value):
     """An element of Z_p^n; all coordinates share one prime and precision."""
 
-    coords: tuple[PadicInt, ...]
+    __slots__ = __match_args__ = ("coords",)
 
     def __post_init__(self) -> None:
         if not isinstance(self.coords, tuple):
             object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) < 1:
             raise ValueError("a point needs at least one coordinate")
-        p = self.coords[0].prime
-        n = self.coords[0].precision
+        p, n = self.coords[0].prime, self.coords[0].precision
         for c in self.coords:
             if c.prime != p:
                 raise PrimeMismatchError("coordinates with mixed primes")
@@ -504,7 +570,7 @@ class PadicPoint:
         return min(c.ord() for c in self.coords)
 
     def norm(self) -> Fraction:
-        """Max of the coordinate norms (the sup norm on Z_p^n)."""
+        """Max of the coordinate norms (the sup norm on Z_p^n), an exact Fraction."""
         return max(c.norm() for c in self.coords)
 
     def to_integers(self) -> tuple[int, ...]:

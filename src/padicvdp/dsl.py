@@ -22,7 +22,6 @@ per compiled form (see `FuncDef.on_residues`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter, mul
 from typing import Callable, Union
@@ -34,6 +33,7 @@ from .core import (
     PadicInt,
     PrecisionExhaustedError,
     SampledReport,
+    Value,
     _digit_blocks,
     _digit_walk,
     _from_residue,
@@ -76,79 +76,41 @@ class ParseError(PadicError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+class _Node(Value):
+    """An expression node; a weak reference to one shows whether a compiled form keeps it."""
+
+    __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True)
-class RatConst:
-    numerator: int
-    denominator: int
+def _node(name: str, *fields: str) -> type:
+    """The node class `name` with these fields, e.g. Add(left, right)."""
+    return type(name, (_Node,), {"__slots__": fields, "__match_args__": fields})
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based, matching the surface names x1 ... xn
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "FuncExpr"
-    right: "FuncExpr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "FuncExpr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class DivP:
-    operand: "FuncExpr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class DigitSum:
-    var_index: int
-    coeffs: tuple[int, ...]  # a(i) as dense coefficients in the symbol i
-    exponent: int
-
-
+IntConst = _node("IntConst", "value")
+RatConst = _node("RatConst", "numerator", "denominator")
+Var = _node("Var", "index")  # 1-based, matching the surface names x1 ... xn
+Add = _node("Add", "left", "right")
+Sub = _node("Sub", "left", "right")
+Mul = _node("Mul", "left", "right")
+Pow = _node("Pow", "base", "exponent")
+DivP = _node("DivP", "operand", "exponent")
+DigitSum = _node("DigitSum", "var_index", "coeffs", "exponent")  # coeffs: a(i), dense in i
 FuncExpr = Union[IntConst, RatConst, Var, Add, Sub, Mul, Pow, DivP, DigitSum]
+_DigitIndex = _node("_DigitIndex")  # the symbol i of a digitsum coefficient, folded by the parser
 
 
-@dataclass(frozen=True)
-class _DigitIndex:
-    """The symbol i of a digitsum coefficient; folded away inside the parser."""
-
-
-@dataclass(frozen=True)
-class FuncDef(Evaluator):
+class FuncDef(Value, Evaluator):
     """A parsed function together with its declared arity.
 
     alpha, when present, is the weight the author claims the function is
-    Lipschitz for. It is a claim to verify, never trusted.
+    Lipschitz for. It is a claim to verify, never trusted. The source text,
+    when kept, is not part of equality.
     """
 
-    arity: int
-    body: FuncExpr
-    alpha: tuple[int, ...] | None = None
-    source: str | None = field(default=None, compare=False)
+    __slots__ = __match_args__ = ("arity", "body", "alpha", "source")
+    _defaults = (None, None)
+    _compared = ("arity", "body", "alpha")
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -185,12 +147,8 @@ class FuncDef(Evaluator):
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "name" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+class _Token(Value):
+    __slots__ = __match_args__ = ("kind", "text", "line", "col")  # kind: int, name, sym or eof
 
 
 _SYMBOLS = "+-*^/(),"

@@ -28,7 +28,6 @@ Brute-force residue enumeration is provided as the independent oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
@@ -40,6 +39,7 @@ from .core import (
     PadicInt,
     PadicPoint,
     SampledReport,
+    Value,
     failed_check,
     on_residues,
     power_within,
@@ -76,8 +76,7 @@ class PreconditionError(PadicError):
     """The inputs violate a stated precondition of the operation."""
 
 
-@dataclass(frozen=True)
-class LiftLevel:
+class LiftLevel(Value):
     """One level of a lifting run.
 
     condition_values[r-1] is the normalized difference for digit r, or
@@ -85,32 +84,19 @@ class LiftLevel:
     positive weights, and itself a condition failure).
     """
 
-    level: int
-    coordinate: int
-    residual_digit: int
-    chosen_digit: int | None
-    condition_values: tuple[int | None, ...]
-    condition_complete: bool
+    __slots__ = __match_args__ = ("level", "coordinate", "residual_digit", "chosen_digit",
+                                  "condition_values", "condition_complete")
 
     def to_json(self) -> dict:
-        return {**vars(self), "condition_values": list(self.condition_values)}
+        return {**self._asdict(), "condition_values": list(self.condition_values)}
 
 
-@dataclass(frozen=True)
-class LiftTrace:
+class LiftTrace(Value):
     """Audited record of a lifting run; immutable, replay already verified."""
 
-    status: str
-    prime: int
-    arity: int
-    alpha: tuple[int, ...]
-    start: tuple[int, ...]
-    l0: int
-    target_precision: int
-    levels: tuple[LiftLevel, ...]
-    root: PadicPoint | None
-    failed_level: int | None
-    auto_coordinate: bool
+    __slots__ = __match_args__ = ("status", "prime", "arity", "alpha", "start", "l0",
+                                  "target_precision", "levels", "root", "failed_level",
+                                  "auto_coordinate")
 
     @property
     def start_modulus_exponents(self) -> tuple[int, ...]:
@@ -122,7 +108,7 @@ class LiftTrace:
 
     def to_json(self) -> dict:
         return {
-            **vars(self), "alpha": list(self.alpha), "start": list(self.start),
+            **self._asdict(), "alpha": list(self.alpha), "start": list(self.start),
             "start_modulus_exponents": list(self.start_modulus_exponents),
             "levels": [lv.to_json() for lv in self.levels],
             "root": None if self.root is None else self.root.to_json(),
@@ -208,19 +194,8 @@ def hensel_lift_multi(
         )
 
     def make_trace(status, levels, root, failed_level):
-        return LiftTrace(
-            status=status,
-            prime=prime,
-            arity=arity,
-            alpha=alpha,
-            start=start,
-            l0=l0,
-            target_precision=target_precision,
-            levels=tuple(levels),
-            root=root,
-            failed_level=failed_level,
-            auto_coordinate=auto,
-        )
+        return LiftTrace(status, prime, arity, alpha, start, l0, target_precision,
+                         tuple(levels), root, failed_level, auto)
 
     current = list(start)
     levels: list[LiftLevel] = []
@@ -242,16 +217,11 @@ def hensel_lift_multi(
                 break
         if chosen is None:
             coord, values = first_attempt  # type: ignore[misc]
-            levels.append(
-                LiftLevel(level, coord, t_bar, None, values, False)
-            )
+            levels.append(LiftLevel(level, coord, t_bar, None, values, False))
             return make_trace(STATUS_CONDITION_FAILED, levels, None, level)
 
         coord, values = chosen
-        if t_bar == 0:
-            digit = 0
-        else:
-            digit = 1 + values.index(prime - t_bar)
+        digit = 1 + values.index(prime - t_bar) if t_bar else 0
         levels.append(LiftLevel(level, coord, t_bar, digit, values, True))
         if digit:
             current[coord - 1] += digit * prime**level

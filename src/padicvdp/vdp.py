@@ -16,7 +16,6 @@ Arity-1 results carry scalars where the general ones carry 1-tuples
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, product, repeat
 from operator import add, sub
@@ -31,6 +30,7 @@ from .core import (
     PadicPoint,
     PrecisionExhaustedError,
     SampledReport,
+    Value,
     _from_residue,
     _json,
     floor_log_p,
@@ -125,8 +125,7 @@ def _entry(p: int, digits) -> PadicInt:
     return PadicInt(p, tuple(digits))
 
 
-@dataclass(frozen=True)
-class VdpTable(Evaluator):
+class VdpTable(Value, Evaluator):
     """Dense coefficient table over the grid [0, p^level)^arity, and the partial sum it defines.
 
     Coefficients are stored row-major: the flat index of m is the integer
@@ -135,11 +134,8 @@ class VdpTable(Evaluator):
     once, then derives `normalized` (else None): a_m = A_m / p^shift.
     """
 
-    prime: int
-    level: int
-    coeffs: tuple[PadicInt, ...]
-    arity: int = 1
-    alpha: int | tuple[int, ...] | None = None
+    __slots__ = __match_args__ = ("prime", "level", "coeffs", "arity", "alpha")
+    _defaults = (1, None)
 
     def __post_init__(self) -> None:
         _check_count(self.prime, self.level * self.arity, len(self.coeffs),
@@ -342,17 +338,13 @@ def vdp_eval_multi(table: VdpTable, x: PadicPoint | PadicInt) -> PadicInt:
     return table(x)
 
 
-@dataclass(frozen=True)
-class LipschitzVerdict:
+class LipschitzVerdict(Value):
     """Outcome of the coefficient-bound check at a fixed truncation level."""
 
-    holds: bool
-    alpha: int | tuple[int, ...]
-    level: int
-    violation: int | tuple[int, ...] | None
+    __slots__ = __match_args__ = ("holds", "alpha", "level", "violation")
 
     def to_json(self) -> dict:
-        return {key: _json(value) for key, value in vars(self).items()}
+        return {key: _json(value) for key, value in self._asdict().items()}
 
 
 def _shifts(table: VdpTable, alpha: int | Sequence[int]) -> list[int]:
@@ -402,14 +394,14 @@ def normalize_weighted(table: VdpTable, alpha: int | Sequence[int]) -> VdpTable:
 
     Requires the coefficient bound to hold; the shift down is then exact.
     """
-    return replace(table, alpha=alpha)
+    return type(table)(table.prime, table.level, table.coeffs, table.arity, alpha)
 
 
 def denormalize_weighted(table: VdpTable) -> VdpTable:
     """The raw table, without the normalized coefficients."""
     if table.alpha is None:
         raise ValueError("table carries no normalized coefficients")
-    return replace(table, alpha=None)
+    return type(table)(table.prime, table.level, table.coeffs, table.arity)
 
 
 # the arity-1 names: the general functions take a bare int weight, or one value at arity 1

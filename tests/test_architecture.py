@@ -103,6 +103,32 @@ def test_only_the_sampled_scan_builds_a_random_generator():
     assert imports == {("core.py", "Import")}
 
 
+def _imported_on_load(node):
+    """Top-level names of the modules `node` imports when its module is loaded.
+
+    Imports inside a function, or under `if TYPE_CHECKING:`, wait until they run.
+    """
+    if isinstance(node, ast.Import):
+        yield from (alias.name.split(".")[0] for alias in node.names)
+    elif isinstance(node, ast.ImportFrom):
+        yield (node.module or "").split(".")[0]
+    elif isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+        for child in node.orelse:
+            yield from _imported_on_load(child)
+    elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        for child in ast.iter_child_nodes(node):
+            yield from _imported_on_load(child)
+
+
+def test_no_module_imports_dataclasses_or_fractions_when_loaded():
+    # a CLI call pays for what the package imports: values stand on core.Value, not on
+    # dataclasses (and inspect), and only a norm needs fractions, so it imports them itself
+    slow = {"dataclasses", "fractions", "inspect"}
+    found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in _imported_on_load(ast.parse(path.read_text())) if name in slow}
+    assert found == set()
+
+
 def test_only_core_and_the_public_boundaries_build_points():
     builders = {(module, scope) for module, scope, _ in _found(_builds_a_point)}
     assert builders == POINT_BUILDERS | {("core.py", "on_residues")}

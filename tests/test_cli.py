@@ -468,6 +468,17 @@ class TestErrorsAndDeterminism:
          "--residue-level", "100000000"],
         ["wellposed", "--prime", "7", "--expr", "x1", "--samples", "0",
          "--residue-level", "100000000"],
+        # a divp exponent adds to the digits F is evaluated at, before p^work is formed
+        ["eval", "--prime", "7", "--expr", "divp(x1,10000000)", "--point", "0",
+         "--precision", "5"],
+        ["wellposed", "--prime", "7", "--expr", "divp(x1,100000000)", "--samples", "1"],
+        ["roots", "--prime", "7", "--expr", "divp(x1,100000000)", "--level", "1"],
+        ["lipschitz", "--prime", "7", "--expr", "divp(x1,100000000)", "--alpha", "0",
+         "--level", "1", "--samples", "1"],
+        ["expand", "--prime", "7", "--expr", "divp(x1,100000000)"],
+        ["lift", "--prime", "7", "--expr", "divp(x1,100000000)", "--start", "0"],
+        ["wellposed", "--prime", "7", "--expr", "divp(x1,9999990)", "--samples", "1",
+         "--residue-level", "5"],
     ])
     def test_counts_fail_on_budget_before_any_work(self, capsys, argv):
         started = time.monotonic()
