@@ -8,7 +8,6 @@ from .core import (
     EnumerationBudgetError,
     InexactDivisionError,
     InvalidPrimeError,
-    MStarUndefinedError,
     PadicError,
     PadicInt,
     PadicPoint,
@@ -18,9 +17,7 @@ from .core import (
     floor_log_p,
     from_integer,
     from_rational,
-    initial_part,
     is_prime,
-    m_star,
 )
 from .dsl import (
     FuncDef,
@@ -29,7 +26,6 @@ from .dsl import (
     as_point_function,
     as_univariate,
     divp_budget,
-    funcdef_from_json,
     parse,
     parse_funcdef,
     well_defined_check,
@@ -45,9 +41,6 @@ from .hensel import (
 )
 from .vdp import (
     VdpTable,
-    e_m,
-    e_multi,
-    index_set,
     lip_alpha_check_uni,
     normalize_alpha,
     normalize_weighted,

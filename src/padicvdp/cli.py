@@ -45,7 +45,6 @@ from .hensel import (
 from .vdp import (
     VdpTable,
     bound_log,
-    lip_alpha_check_uni,
     projection,
     sampled_weighted_lip_check,
     vdp_expand_multi,
@@ -281,7 +280,7 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
             fixed = [rng.randrange(modulus) for _ in range(arity - 1)]
             proj = projection(F, coord, [from_integer(v, p, work) for v in fixed])
             sub_table = vdp_expand_uni(proj, level, p, work, budget=args.budget)
-            m = lip_alpha_check_uni(sub_table, alpha[coord - 1]).violation
+            m = weighted_lip_bound_check(sub_table, alpha[coord - 1]).violation
             if m is None:
                 return None
             site = {"coordinate": coord, "fixed": fixed, "violation": m}

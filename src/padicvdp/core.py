@@ -27,14 +27,11 @@ __all__ = [
     "PrimeMismatchError",
     "InexactDivisionError",
     "PrecisionExhaustedError",
-    "MStarUndefinedError",
     "EnumerationBudgetError",
     "PadicInt",
     "PadicPoint",
     "from_integer",
     "from_rational",
-    "initial_part",
-    "m_star",
     "floor_log_p",
     "digit_length",
     "is_prime",
@@ -150,10 +147,6 @@ class PrecisionExhaustedError(PadicError):
     """Not enough known digits to carry out the operation."""
 
 
-class MStarUndefinedError(PadicError):
-    """Top-digit removal is only defined for indices m >= p."""
-
-
 class EnumerationBudgetError(PadicError):
     """An exhaustive enumeration would exceed the configured budget."""
 
@@ -196,14 +189,6 @@ def floor_log_p(m: int, p: int) -> int:
     if m < 1:
         raise ValueError(f"floor_log_p is undefined for m = {m}")
     return digit_length(m, p) - 1
-
-
-def m_star(m: int, p: int) -> int:
-    """Strip the top base-p digit of m; defined only for m >= p."""
-    _require_prime(p)
-    if m < p:
-        raise MStarUndefinedError(f"m* needs m >= p, got m={m} with p={p}")
-    return m % p ** floor_log_p(m, p)
 
 
 def power_within(base: int, exponent: int, limit: int) -> int | None:
@@ -290,14 +275,6 @@ class PadicInt(Value):
         k = self.ord()
         return Fraction(0) if k == math.inf else Fraction(1, self.prime**k)
 
-    def standard_seq(self, k: int) -> int:
-        """Partial sum x_0 + x_1 p + ... + x_k p^k as an exact integer."""
-        if not 0 <= k < self.precision:
-            raise PrecisionExhaustedError(
-                f"standard sequence index {k} needs {k + 1} digits, known {self.precision}"
-            )
-        return self.residue % self.prime ** (k + 1)
-
     def divisible_by_p_power(self, e: int) -> bool:
         """Whether the first e known digits are all zero (all of them if e > N)."""
         return e <= 0 or self.residue % self.prime ** min(e, self.precision) == 0
@@ -325,14 +302,6 @@ class PadicInt(Value):
         if e == 0:
             return self
         return _from_residue(self.residue * self.prime**e, self.prime, self.precision + e)
-
-    def truncate(self, n: int) -> PadicInt:
-        """Forget digits beyond the first n."""
-        if not 1 <= n <= self.precision:
-            raise PrecisionExhaustedError(
-                f"cannot truncate precision {self.precision} to {n}"
-            )
-        return _from_residue(self.residue, self.prime, n)
 
     def _binop_precision(self, other: PadicInt) -> int:
         if not isinstance(other, PadicInt):
@@ -432,23 +401,6 @@ def from_rational(num: int, den: int, p: int, precision: int) -> PadicInt:
     modulus = p**precision
     inv = pow(den, -1, modulus)
     return _from_residue(num * inv, p, precision)
-
-
-def initial_part(m: int, x: PadicInt) -> bool:
-    """Whether m occurs in x's standard sequence x^(0), x^(1), ...
-
-    Equivalent to x lying in the ball of radius p^-(s+1) around m, where
-    s+1 is the base-p digit length of m.
-    """
-    if m < 0:
-        raise ValueError(f"initial parts are non-negative, got {m}")
-    length = digit_length(m, x.prime)
-    if length > x.precision:
-        raise PrecisionExhaustedError(
-            f"deciding initial part of {m} needs {length} digits, "
-            f"value has {x.precision}"
-        )
-    return x.standard_seq(length - 1) == m
 
 
 def _vanishing(value: PadicInt, order: int) -> bool | None:

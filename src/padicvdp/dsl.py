@@ -21,7 +21,6 @@ per compiled form (see `FuncDef.on_residues`).
 """
 from __future__ import annotations
 
-import json
 from functools import reduce
 from operator import itemgetter, mul
 from typing import Callable, Union
@@ -59,7 +58,6 @@ __all__ = [
     "FuncDef",
     "parse",
     "parse_funcdef",
-    "funcdef_from_json",
     "divp_budget",
     "as_point_function",
     "as_univariate",
@@ -472,10 +470,6 @@ def parse_funcdef(data: dict) -> FuncDef:
     return FuncDef(arity=arity, body=parse(body_text, arity), alpha=alpha, source=body_text)
 
 
-def funcdef_from_json(text: str) -> FuncDef:
-    return parse_funcdef(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -544,7 +538,7 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]
             fc, nc = _compile(c, p, n, arity)
             if e < 0:
                 return _failing(ValueError, f"exponent must be >= 0, got {e}", fc), nc
-            check, shift = p ** min(e, nc), p**e
+            check = p ** min(e, nc)  # is p^e whenever the division can succeed
 
             def divp(xs):
                 r = fc(xs)
@@ -553,7 +547,7 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]
                 if nc <= e:
                     raise PrecisionExhaustedError(
                         f"dividing by p^{e} leaves no known digits (precision {nc})")
-                return r // shift
+                return r // check
 
             return divp, max(nc - e, 1)
         case DigitSum(exponent=e) if e < 1:  # 0^0 = 1 would weigh the zeros above the top

@@ -34,7 +34,6 @@ from .core import (
     _from_residue,
     _json,
     floor_log_p,
-    initial_part,
     is_prime,
     on_residues,
     power_within,
@@ -49,9 +48,6 @@ __all__ = [
     "as_point_evaluator",
     "LipschitzBoundError",
     "bound_log",
-    "index_set",
-    "e_m",
-    "e_multi",
     "VdpTable",
     "vdp_expand_uni",
     "vdp_expand_multi",
@@ -62,8 +58,6 @@ __all__ = [
     "weighted_lip_bound_check",
     "normalize_alpha",
     "normalize_weighted",
-    "denormalize_alpha",
-    "denormalize_weighted",
     "projection",
     "sampled_lip_check_uni",
     "sampled_weighted_lip_check",
@@ -90,23 +84,6 @@ def _shape(values: tuple[int, ...]) -> int | tuple[int, ...]:
 def bound_log(m: int, p: int) -> int:
     """floor(log_p m) as used in coefficient bounds; 0 for all m < p."""
     return floor_log_p(m, p) if m >= p else 0
-
-
-def index_set(m: Sequence[int], prime: int) -> tuple[int, ...]:
-    """1-based coordinates of m with entry >= p (where digit stripping applies)."""
-    return tuple(i + 1 for i, v in enumerate(m) if v >= prime)
-
-
-def e_multi(m: Sequence[int], x: PadicPoint) -> int:
-    """Product indicator: 1 when every m_i is an initial part of x_i."""
-    if len(m) != x.arity:
-        raise ValueError(f"multi-index of arity {len(m)} against point of arity {x.arity}")
-    return int(all(initial_part(mi, xi) for mi, xi in zip(m, x.coords)))
-
-
-def e_m(m: int, x: PadicInt) -> int:
-    """Basis indicator: 1 when m is an initial part of x, else 0."""
-    return int(initial_part(m, x))
 
 
 def _check_count(prime: int, exponent: int, count: int, what: str) -> None:
@@ -397,18 +374,10 @@ def normalize_weighted(table: VdpTable, alpha: int | Sequence[int]) -> VdpTable:
     return type(table)(table.prime, table.level, table.coeffs, table.arity, alpha)
 
 
-def denormalize_weighted(table: VdpTable) -> VdpTable:
-    """The raw table, without the normalized coefficients."""
-    if table.alpha is None:
-        raise ValueError("table carries no normalized coefficients")
-    return type(table)(table.prime, table.level, table.coeffs, table.arity)
-
-
 # the arity-1 names: the general functions take a bare int weight, or one value at arity 1
 vdp_eval_uni = vdp_eval_multi
 lip_alpha_check_uni = weighted_lip_bound_check
 normalize_alpha = normalize_weighted
-denormalize_alpha = denormalize_weighted
 
 
 def projection(F: PointEvaluator, coord: int, fixed: Sequence[PadicInt]) -> UniEvaluator:

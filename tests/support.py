@@ -21,7 +21,6 @@ from padicvdp.core import (
     _digit_walk,
     _from_residue,
     from_rational,
-    m_star,
 )
 from padicvdp.dsl import (
     Add,
@@ -42,7 +41,6 @@ from padicvdp.vdp import (
     PointEvaluator,
     UniEvaluator,
     as_point_evaluator,
-    index_set,
     projection,
 )
 
@@ -290,6 +288,16 @@ def initial_parts_int(x: int, p: int, level: int) -> list[int]:
     return parts
 
 
+def m_star(m: int, p: int) -> int:
+    """m with its top base-p digit stripped; the basis uses it for m >= p only."""
+    return m % p if m < p * p else m % p + p * m_star(m // p, p)
+
+
+def index_set(m: Sequence[int], p: int) -> tuple[int, ...]:
+    """I(m): the 1-based coordinates whose entry is at least p, where stripping applies."""
+    return tuple(i + 1 for i, v in enumerate(m) if v >= p)
+
+
 def table_eval_int(coeffs: list[int], p: int, level: int, x: int) -> int:
     """Partial sum of a coefficient table at an integer point."""
     return sum(coeffs[m] for m in initial_parts_int(x, p, level))
@@ -465,7 +473,7 @@ def vdp_coeff_multi_rec(F, m, prime, precision, order=None):
     of the library's closed form and of its per-axis expansion passes; it
     works on library values only because F is a library evaluator.
     """
-    idx = tuple(i + 1 for i, v in enumerate(m) if v >= prime)
+    idx = index_set(m, prime)
     if order is None:
         order = idx
     if sorted(order) != sorted(idx):

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from itertools import permutations, product
 
 from padicvdp.cli import main
-from padicvdp.core import PadicPoint, digit_length, from_integer, initial_part
+from padicvdp.core import PadicPoint, digit_length, from_integer
 from padicvdp.dsl import (
     FuncDef,
     as_point_function,
@@ -31,7 +31,6 @@ from padicvdp.hensel import (
 from padicvdp.vdp import (
     VdpTable,
     bound_log,
-    index_set,
     lip_alpha_check_uni,
     sampled_weighted_lip_check,
     vdp_eval_uni,
@@ -43,6 +42,8 @@ from padicvdp.vdp import (
 from support import (
     FERMAT_DIFF_TEXT,
     QUINTIC_TEXT,
+    index_set,
+    initial_parts_int,
     quintic_int,
     random_total_expr,
     table_eval_int,
@@ -254,11 +255,12 @@ def test_c10_core_arithmetic_exhaustives():
                 if x.norm() != y.norm():
                     assert got == bound
 
-        # initial part is exactly ball membership, exhaustively below p^4
+        # initial part is exactly ball membership, exhaustively below p^4: the table
+        # oracles read a point's basis indicators off this listing
         for prime in (2, 3, 5):
             grid = prime**4
-            xs = [from_integer(x, prime, 4) for x in range(grid)]
+            parts = [set(initial_parts_int(x, prime, 4)) for x in range(grid)]
             for m in range(grid):
                 window = prime ** digit_length(m, prime)
-                for x_int, x in enumerate(xs):
-                    assert initial_part(m, x) == (x_int % window == m)
+                for x in range(grid):
+                    assert (m in parts[x]) == (x % window == m)

@@ -8,10 +8,14 @@ local seeded loop would bring back a report of its own. Consumers evaluate F
 on residue tuples through core's `on_residues`; a point built per evaluation
 would bring back a per-call adapter of its own. Every class that serves
 `on_residues` is a `core.Evaluator`, whose `__call__` is the only one.
+Every module-level function and class has a caller in the package, the
+benchmark harness or the README; a definition only tests call is a test
+oracle, and belongs in `tests/support.py`.
 """
 import ast
 import gc
 import importlib
+import re
 import weakref
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from padicvdp.core import Evaluator, PadicPoint, on_residues
 from padicvdp.dsl import FuncDef, parse
 
 PACKAGE = Path(padicvdp.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 # (module, enclosing function) pairs allowed to read `.digits` outside core
 DIGIT_READERS = {("vdp.py", "VdpTable.to_json")}
@@ -132,6 +137,39 @@ def test_no_module_imports_dataclasses_or_fractions_when_loaded():
 def test_only_core_and_the_public_boundaries_build_points():
     builders = {(module, scope) for module, scope, _ in _found(_builds_a_point)}
     assert builders == POINT_BUILDERS | {("core.py", "on_residues")}
+
+
+def _names_in(tree) -> set[str]:
+    """Every name a tree reads, an attribute it takes or an import it makes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_every_module_level_definition_has_a_caller_outside_tests():
+    # test oracles live in tests/; `__all__` and the re-exports in `__init__` name
+    # what the package offers, not a caller, and a definition's own body is no caller
+    defined, named = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+                named |= _names_in(node) - {node.name}
+            else:
+                named |= _names_in(node)
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        named |= _names_in(ast.parse(path.read_text()))
+    for block in re.findall(r"^```\w*\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M):
+        named |= set(re.findall(r"\w+", block))
+    assert [(module, name) for module, name in defined if name not in named] == []
 
 
 def _classes_defining(method: str):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from padicvdp.core import (
     InexactDivisionError,
     InvalidPrimeError,
-    MStarUndefinedError,
     PadicInt,
     PadicPoint,
     PrecisionExhaustedError,
@@ -21,9 +20,7 @@ from padicvdp.core import (
     floor_log_p,
     from_integer,
     from_rational,
-    initial_part,
     is_prime,
-    m_star,
     on_residues,
     vanishes_to,
     vanishing_scan,
@@ -120,7 +117,7 @@ class TestArithmetic:
         assert from_integer(4, 3, 3) != from_integer(4, 3, 4)
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 def test_ultrametric_inequality(p, data):
     n = 6
@@ -131,31 +128,6 @@ def test_ultrametric_inequality(p, data):
     assert lhs <= max(x.norm(), y.norm())
     if x.norm() != y.norm():
         assert lhs == max(x.norm(), y.norm())
-
-
-@settings(max_examples=200)
-@given(st.sampled_from([2, 3, 5, 7]), st.data())
-def test_standard_seq_round_trip(p, data):
-    n = 5
-    k = data.draw(st.integers(0, p**n - 1))
-    assert from_integer(k, p, n).standard_seq(n - 1) == k
-
-
-class TestStandardSeq:
-    def test_partial_sum(self):
-        x = PadicInt(3, (2, 1, 0, 2))
-        assert x.standard_seq(1) == 5
-
-    def test_first_digit(self):
-        x = PadicInt(3, (2, 1, 0, 2))
-        assert x.standard_seq(0) == 2
-
-    def test_eventually_constant_on_integers(self):
-        assert from_integer(10, 3, 4).standard_seq(3) == 10
-
-    def test_out_of_range(self):
-        with pytest.raises(PrecisionExhaustedError):
-            from_integer(10, 3, 4).standard_seq(4)
 
 
 class TestExactDivision:
@@ -180,43 +152,7 @@ class TestExactDivision:
         assert x.exact_div_p(2).mul_pow_p(2) == x
 
 
-class TestInitialPart:
-    def test_zero_initial_part(self):
-        assert initial_part(0, from_integer(6, 3, 4))  # 6 = 0 + 2*3
-
-    def test_self_is_initial_part(self):
-        assert initial_part(10, from_integer(10, 3, 4))
-
-    def test_digit_prefix(self):
-        assert initial_part(2, from_integer(5, 3, 4))  # 5 = 2 + 1*3
-
-    def test_needs_enough_digits(self):
-        with pytest.raises(PrecisionExhaustedError):
-            initial_part(10, from_integer(10, 3, 2))
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_matches_ball_membership_exhaustively(self, p):
-        n = 3
-        for x_int in range(p**n):
-            x = from_integer(x_int, p, n)
-            for m in range(p**n):
-                s_plus_1 = digit_length(m, p)
-                expected = x_int % p**s_plus_1 == m
-                assert initial_part(m, x) == expected
-
-
 class TestIndexHelpers:
-    def test_m_star_strips_top_digit(self):
-        assert m_star(10, 3) == 1
-
-    def test_m_star_at_prime(self):
-        assert m_star(3, 3) == 0
-        assert m_star(4, 3) == 1
-
-    def test_m_star_undefined_below_prime(self):
-        with pytest.raises(MStarUndefinedError):
-            m_star(2, 3)
-
     def test_floor_log(self):
         assert floor_log_p(10, 3) == 2
         assert floor_log_p(1, 3) == 0
@@ -225,16 +161,6 @@ class TestIndexHelpers:
     def test_floor_log_zero_undefined(self):
         with pytest.raises(ValueError):
             floor_log_p(0, 3)
-
-    @settings(max_examples=200)
-    @given(st.sampled_from([2, 3, 5]), st.integers(2, 10**6))
-    def test_m_star_strictly_decreases(self, p, m):
-        if m < p:
-            return
-        s = floor_log_p(m, p)
-        assert m_star(m, p) < p**s
-        assert m_star(m, p) < m
-
 
 class TestRational:
     def test_negative_integer_embedding(self):
@@ -280,10 +206,9 @@ def _seven(value: int) -> PadicInt:
     (lambda: from_integer(3, 7, 0), ValueError, "precision must be >= 1, got 0"),
     (lambda: from_rational(1, 2, 7, 0), ValueError, "precision must be >= 1, got 0"),
     (lambda: on_residues(lambda x: x, 7, 0, 1), ValueError, "precision must be >= 1, got 0"),
-    (lambda: initial_part(-1, _seven(3)), ValueError, "initial parts are non-negative, got -1"),
     (lambda: PadicPoint(()), ValueError, "a point needs at least one coordinate"),
 ], ids=["digit-length", "mul-pow-p", "add-int", "from-integer", "from-rational",
-        "on-residues", "initial-part", "empty-point"])
+        "on-residues", "empty-point"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -317,7 +242,7 @@ def _assert_model(x, p, value, n):
     assert list(x.digits) == int_digits(value % p**n, p, n)
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 def test_operations_match_integer_model(p, data):
     n, a, da = _model_value(p, data)
@@ -339,18 +264,9 @@ def test_operations_match_integer_model(p, data):
         assert x.divisible_by_p_power(e) == all(d == 0 for d in da[:e])
     for i in range(n):
         assert x.digit(i) == da[i]
-        assert x.standard_seq(i) == sum(d * p**j for j, d in enumerate(da[: i + 1]))
     for bad in (-1, n):
         with pytest.raises(PrecisionExhaustedError):
             x.digit(bad)
-        with pytest.raises(PrecisionExhaustedError):
-            x.standard_seq(bad)
-
-    for t in range(1, n + 1):
-        _assert_model(x.truncate(t), p, a, t)
-    for bad in (0, n + 1):
-        with pytest.raises(PrecisionExhaustedError):
-            x.truncate(bad)
 
     for e in range(4):
         _assert_model(x.mul_pow_p(e), p, a * p**e, n + e)
@@ -402,8 +318,9 @@ def _vanishing_cases():
     return st.sampled_from([2, 3, 5]).flatmap(checks)
 
 
-@settings(max_examples=400)
+@settings(max_examples=400, deadline=None)
 @given(_vanishing_cases())
+@example((3, [(0, 6, -1), (0, 2, 3), (0, 1, 0), (54, 4, 1)]))  # undecided at check 1
 @example((2, [(0, 2, 3)]))  # undecided
 @example((3, [(0, 1, 3), (3, 2, 2)]))  # violated after an undecided check
 @example((5, [(0, 3, 2), (25, 3, 2)]))  # holds

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from padicvdp.core import (
     InexactDivisionError,
     PadicPoint,
+    PrecisionExhaustedError,
     _digit_walk,
     from_integer,
 )
@@ -30,7 +32,6 @@ from padicvdp.dsl import (
     Var,
     as_univariate,
     divp_budget,
-    funcdef_from_json,
     parse,
     parse_funcdef,
     well_defined_check,
@@ -291,7 +292,7 @@ class TestDigitMapCost:
 class TestFuncDef:
     def test_json_round_trip(self):
         text = '{"arity":1,"alpha":[0],"body":"-5 + digitsum(x1, 4+7*i^3, 5)"}'
-        defn = funcdef_from_json(text)
+        defn = parse_funcdef(json.loads(text))
         assert defn.arity == 1
         assert defn.alpha == (0,)
         assert defn.to_json()["body"] == "-5 + digitsum(x1, 4+7*i^3, 5)"
@@ -350,6 +351,18 @@ class TestEvaluate:
     def test_inexact_division_raises(self):
         with pytest.raises(InexactDivisionError):
             ev1("divp(x1, 1)", 1, 7, 4)
+
+    def test_a_divp_past_the_known_digits_never_forms_its_power_of_p(self):
+        # with e >= N the division always fails, and p^e would have millions of digits
+        started = time.perf_counter()
+        f = FuncDef(1, DivP(Var(1), 3 * 10**6)).on_residues(7, 5, 1)
+        assert time.perf_counter() - started < 0.5
+        with pytest.raises(InexactDivisionError,
+                           match=r"^value is not divisible by p\^3000000 \(p=7\)$"):
+            f((1,))
+        with pytest.raises(PrecisionExhaustedError,
+                           match=r"^dividing by p\^3000000 leaves no known digits \(precision 5\)$"):
+            f((0,))
 
     def test_precision_loss_is_worst_case_per_branch(self):
         got = ev1("x1 + divp(x1 - x1^7, 1)", 2, 7, 6)

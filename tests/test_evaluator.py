@@ -120,7 +120,7 @@ def tables(draw):
     """A table at p = 3, arity 1 or 2, level 1 or 2, each coefficient with its own precision."""
     p, arity, level = 3, draw(st.integers(1, 2)), draw(st.integers(1, 2))
     n, rng = draw(st.integers(1, 4)), random.Random(draw(st.integers(0, 2**32)))
-    coeffs = tuple(from_integer(rng.randrange(p**n), p, n).truncate(rng.randint(1, n))
+    coeffs = tuple(from_integer(rng.randrange(p**n), p, rng.randint(1, n))
                    for _ in range(p ** (level * arity)))
     return VdpTable(prime=p, level=level, coeffs=coeffs, arity=arity)
 

@@ -164,8 +164,7 @@ class TestLiftUnivariate:
     def test_condition_read_names_the_level(self):
         # x^2 - 2 with every point but the start known to one digit only
         def f(x):
-            value = from_integer((x.to_integer() ** 2 - 2) % 7**6, 7, 6)
-            return value if x.to_integer() == 3 else value.truncate(1)
+            return from_integer((x.to_integer() ** 2 - 2) % 7**6, 7, 6 if x.to_integer() == 3 else 1)
 
         with pytest.raises(PrecisionExhaustedError,
                            match="the condition set at level 1 needs 2 digits, known 1"):

@@ -8,8 +8,6 @@ from padicvdp.dsl import FuncDef, as_univariate, parse
 from padicvdp.vdp import (
     LipschitzBoundError,
     VdpTable,
-    denormalize_alpha,
-    e_m,
     lip_alpha_check_uni,
     normalize_alpha,
     normalize_weighted,
@@ -48,16 +46,6 @@ def random_table(rng, p, level, n, satisfying_alpha=None):
 
 
 class TestIndicator:
-    def test_zero_on_zero(self):
-        assert e_m(0, from_integer(0, 7, 3)) == 1
-
-    def test_self(self):
-        assert e_m(5, from_integer(5, 7, 3)) == 1
-
-    def test_ball_membership(self):
-        assert e_m(3, from_integer(3 + 2 * 9, 3, 4)) == 1  # 21 = 3 mod 9
-        assert e_m(3, from_integer(4, 3, 4)) == 0
-
     def test_initial_parts_listing(self):
         # oracle: truncations of 21 = 0 + 1*3 + 2*9 are 0, 3, 21
         assert initial_parts_int(21, 3, 3) == [0, 3, 21]
@@ -255,8 +243,7 @@ class TestNormalization:
 
     def test_round_trip(self):
         table = vdp_expand_uni(dsl_uni(FERMAT_DIFF_TEXT), 2, 7, 8)
-        back = denormalize_alpha(normalize_alpha(table, 1))
-        assert back.coeffs == table.coeffs
+        assert normalize_alpha(table, 1).coeffs == table.coeffs
 
     def test_violating_table_is_rejected(self):
         coeffs = [from_integer(0, 3, 4) for _ in range(9)]
@@ -274,10 +261,6 @@ class TestNormalization:
         assert built.normalized == normalize_alpha(table, 1).normalized
         with pytest.raises(LipschitzBoundError, match="m=7"):
             VdpTable(prime=7, level=2, coeffs=table.coeffs, alpha=0)
-
-    def test_denormalize_needs_a_weight(self):
-        with pytest.raises(ValueError, match="no normalized coefficients"):
-            denormalize_alpha(vdp_expand_uni(dsl_uni("x1"), 2, 3, 6))
 
 
 class TestSampledCheck:
@@ -348,7 +331,7 @@ class TestTableJson:
         with pytest.raises(ValueError, match="field b does not match"):
             VdpTable.from_json(data)
         data["b"] = [[0, 0]] * 7
-        assert denormalize_alpha(VdpTable.from_json(data)).coeffs == (from_integer(0, 7, 2),) * 7
+        assert VdpTable.from_json(data).coeffs == (from_integer(0, 7, 2),) * 7
 
     def test_stored_alpha_must_satisfy_the_bound(self):
         data = vdp_expand_uni(dsl_uni(FERMAT_DIFF_TEXT), 2, 7, 8).to_json()
