@@ -20,6 +20,7 @@ from padicvdp.core import (
     PadicPoint,
     _digit_walk,
     _from_residue,
+    from_integer,
     from_rational,
 )
 from padicvdp.dsl import (
@@ -34,26 +35,18 @@ from padicvdp.dsl import (
     Sub,
     Var,
     _poly_eval,
-    parse,
 )
 from padicvdp.hensel import roots_mod_uni
 from padicvdp.vdp import (
     PointEvaluator,
     UniEvaluator,
+    VdpTable,
     as_point_evaluator,
     projection,
 )
 
 QUINTIC_TEXT = "-5 + digitsum(x1, 4 + 7*i^3, 5)"  # digit map with root 5 at p=7
 FERMAT_DIFF_TEXT = "divp(x1 - x1^7, 1)"  # (x - x^7)/7, total by Fermat
-
-
-def quintic_def() -> FuncDef:
-    return FuncDef(arity=1, body=parse(QUINTIC_TEXT, 1), source=QUINTIC_TEXT)
-
-
-def fermat_diff_def() -> FuncDef:
-    return FuncDef(arity=1, body=parse(FERMAT_DIFF_TEXT, 1), source=FERMAT_DIFF_TEXT)
 
 
 def quintic_int(x: int, modulus_exp: int) -> int:
@@ -298,6 +291,12 @@ def index_set(m: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(i + 1 for i, v in enumerate(m) if v >= p)
 
 
+def indicator_table(p: int, level: int, m: tuple[int, ...], n: int = 3) -> VdpTable:
+    """The table whose one nonzero coefficient is a 1 at m: its partial sum is e_m."""
+    grid = product(range(p**level), repeat=len(m))
+    return VdpTable(p, level, tuple(from_integer(int(k == m), p, n) for k in grid), len(m))
+
+
 def table_eval_int(coeffs: list[int], p: int, level: int, x: int) -> int:
     """Partial sum of a coefficient table at an integer point."""
     return sum(coeffs[m] for m in initial_parts_int(x, p, level))
@@ -530,21 +529,10 @@ class ProjectionRootReport:
     alpha: int
     fixed: tuple[int, ...]
     roots_by_level: dict[int, list[int]]
-    seed_note: str = "fixed coordinates are a sampled choice, not exhaustive"
 
     @property
     def all_nonempty(self) -> bool:
         return all(self.roots_by_level.values())
-
-    def to_json(self) -> dict:
-        return {
-            "coordinate": self.coordinate,
-            "alpha": self.alpha,
-            "fixed": list(self.fixed),
-            "roots_by_level": {str(k): v for k, v in self.roots_by_level.items()},
-            "all_nonempty": self.all_nonempty,
-            "note": self.seed_note,
-        }
 
 
 def root_exists_via_projection(

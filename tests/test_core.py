@@ -27,7 +27,8 @@ from padicvdp.core import (
     weight,
 )
 
-from support import block_residues, int_digits, vanishing_verdict_int
+from support import block_residues, indicator_table, initial_parts_int, int_digits, m_star
+from support import vanishing_verdict_int
 
 
 class TestFromInteger:
@@ -130,6 +131,36 @@ def test_ultrametric_inequality(p, data):
         assert lhs == max(x.norm(), y.norm())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_standard_seq_round_trip(p, data):
+    # x_t = x mod p^t is the value of the first t digits, and from_integer builds it
+    n = 5
+    k = data.draw(st.integers(0, p**n - 1))
+    digits = from_integer(k, p, n).digits
+    for t in range(1, n + 1):
+        assert from_integer(k, p, t) == PadicInt(p, digits[:t])
+        assert from_integer(k, p, t).to_integer() == sum(d * p**j for j, d in enumerate(digits[:t]))
+    assert from_integer(k, p, n).to_integer() == k
+
+
+class TestStandardSeq:  # x_t = x mod p^t, read as a value at precision t
+    def test_partial_sum(self):
+        x = PadicInt(3, (2, 1, 0, 2))
+        assert from_integer(x.to_integer(), 3, 2) == PadicInt(3, (2, 1)) == from_integer(5, 3, 2)
+
+    def test_first_digit(self):
+        x = PadicInt(3, (2, 1, 0, 2))
+        assert from_integer(x.to_integer(), 3, 1).to_integer() == x.digit(0) == 2
+
+    def test_eventually_constant_on_integers(self):
+        assert [from_integer(10, 3, t).to_integer() for t in range(1, 6)] == [1, 1, 10, 10, 10]
+
+    def test_out_of_range(self):
+        with pytest.raises(PrecisionExhaustedError, match="^digit 4 outside known precision 4$"):
+            from_integer(10, 3, 4).digit(4)
+
+
 class TestExactDivision:
     def test_shift(self):
         x = PadicInt(3, (0, 0, 1))
@@ -161,6 +192,42 @@ class TestIndexHelpers:
     def test_floor_log_zero_undefined(self):
         with pytest.raises(ValueError):
             floor_log_p(0, 3)
+
+    def test_m_star_strips_top_digit(self):  # support's oracle for the coefficient references
+        assert m_star(10, 3) == 1
+
+    def test_m_star_at_prime(self):
+        assert m_star(3, 3) == 0
+        assert m_star(4, 3) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_m_star_is_m_below_its_top_power(self, p):
+        for m in range(p, p**4):
+            assert m_star(m, p) == m % p ** floor_log_p(m, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(2, 10**6))
+    def test_m_star_strictly_decreases(self, p, m):
+        if m >= p:
+            assert m_star(m, p) < min(p ** floor_log_p(m, p), m)
+
+
+class TestInitialPart:
+    # initial_parts_int(x, 3, level) is the oracle the table tests read e_m from
+    @pytest.mark.parametrize("x, level, parts", [(6, 4, [0, 6]), (10, 4, [1, 10]), (5, 4, [2, 5]),
+                                                 (10, 2, [1])],
+                             ids=["zero", "self", "digit-prefix", "needs-enough-digits"])
+    def test_oracle_lists_the_truncations(self, x, level, parts):
+        assert initial_parts_int(x, 3, level) == parts
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_ball_membership_exhaustively(self, p):
+        # a table with one unit coefficient, at m, reads 1 exactly where m is an initial part
+        for m in range(p**3):
+            value = indicator_table(p, 3, (m,)).on_residues(p, 3, 1)
+            for x in range(p**3):
+                assert value((x,)).to_integer() == (x % p ** digit_length(m, p) == m)
+
 
 class TestRational:
     def test_negative_integer_embedding(self):
@@ -207,8 +274,14 @@ def _seven(value: int) -> PadicInt:
     (lambda: from_rational(1, 2, 7, 0), ValueError, "precision must be >= 1, got 0"),
     (lambda: on_residues(lambda x: x, 7, 0, 1), ValueError, "precision must be >= 1, got 0"),
     (lambda: PadicPoint(()), ValueError, "a point needs at least one coordinate"),
+    (lambda: PadicInt(7, ()), PrecisionExhaustedError, "a value needs at least one digit"),
+    (lambda: PadicInt(7, (7,)), ValueError, "digit 7 out of range for p=7"),
+    (lambda: _seven(3).digit(-1), PrecisionExhaustedError, "digit -1 outside known precision 5"),
+    (lambda: PadicInt.from_json({"p": 7, "precision": 2, "digits": [3]}), ValueError,
+     "digit count does not match declared precision"),
 ], ids=["digit-length", "mul-pow-p", "add-int", "from-integer", "from-rational",
-        "on-residues", "empty-point"])
+        "on-residues", "empty-point", "empty-digits", "digit-range", "digit-index",
+        "json-digit-count"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

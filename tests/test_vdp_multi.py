@@ -23,6 +23,7 @@ from padicvdp.vdp import (
 
 from support import (
     index_set,
+    indicator_table,
     initial_part_positions_int,
     m_star,
     pairwise_lipschitz_int,
@@ -76,6 +77,31 @@ def _never(x):
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+class TestIndexSet:
+    def test_examples(self):
+        # the oracle the coefficient references take I(m) from
+        assert index_set((2, 9), 3) == (2,)
+        assert index_set((0, 0, 0), 3) == ()
+        assert index_set((3, 3), 3) == (1, 2)
+
+
+class TestIndicatorProduct:
+    """A table with one unit coefficient, at m, evaluates to prod_i e_{m_i}(x_i)."""
+
+    def test_all_coordinates_match(self):
+        x = PadicPoint.from_integers((5, 1), 7, 4)
+        assert vdp_eval_multi(indicator_table(7, 1, (5, 1)), x).to_integer() == 1
+
+    def test_one_coordinate_fails(self):
+        x = PadicPoint.from_integers((5, 2), 7, 4)
+        assert vdp_eval_multi(indicator_table(7, 1, (5, 1)), x).to_integer() == 0
+
+    def test_ball_membership_per_coordinate(self):
+        x = PadicPoint.from_integers((12, 1), 3, 4)
+        # 12 = 3 mod 9 and 1 = 1 mod 3
+        assert vdp_eval_multi(indicator_table(3, 2, (3, 1)), x).to_integer() == 1
 
 
 class TestCoefficientClosedForm:

@@ -19,6 +19,7 @@ from padicvdp.vdp import (
 from support import (
     FERMAT_DIFF_TEXT,
     QUINTIC_TEXT,
+    indicator_table,
     initial_parts_int,
     random_total_expr,
     table_eval_int,
@@ -46,6 +47,19 @@ def random_table(rng, p, level, n, satisfying_alpha=None):
 
 
 class TestIndicator:
+    """A table with one unit coefficient, at m, evaluates to the basis function e_m."""
+
+    def test_zero_on_zero(self):
+        assert vdp_eval_uni(indicator_table(7, 1, (0,)), from_integer(0, 7, 3)).to_integer() == 1
+
+    def test_self(self):
+        assert vdp_eval_uni(indicator_table(7, 1, (5,)), from_integer(5, 7, 3)).to_integer() == 1
+
+    def test_ball_membership(self):
+        table = indicator_table(3, 2, (3,))
+        assert vdp_eval_uni(table, from_integer(3 + 2 * 9, 3, 4)).to_integer() == 1  # 21 = 3 mod 9
+        assert vdp_eval_uni(table, from_integer(4, 3, 4)).to_integer() == 0
+
     def test_initial_parts_listing(self):
         # oracle: truncations of 21 = 0 + 1*3 + 2*9 are 0, 3, 21
         assert initial_parts_int(21, 3, 3) == [0, 3, 21]
@@ -244,6 +258,11 @@ class TestNormalization:
     def test_round_trip(self):
         table = vdp_expand_uni(dsl_uni(FERMAT_DIFF_TEXT), 2, 7, 8)
         assert normalize_alpha(table, 1).coeffs == table.coeffs
+
+    def test_a_table_without_a_weight_has_no_normalized_coefficients(self):
+        table = vdp_expand_uni(dsl_uni("x1"), 2, 3, 6)
+        assert table.alpha is None and table.normalized is None
+        assert "b" not in table.to_json() and "alpha" not in table.to_json()
 
     def test_violating_table_is_rejected(self):
         coeffs = [from_integer(0, 3, 4) for _ in range(9)]
