@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lift.add_argument("--target-precision", type=int, default=None,
                         help="digits of root to construct (default --precision)")
     coord = p_lift.add_mutually_exclusive_group()
-    coord.add_argument("--coordinate", type=int, default=None,
+    coord.add_argument("--coordinate", type=int, default=1,
                        help="coordinate to lift along (default 1)")
     coord.add_argument("--auto-coordinate", action="store_true",
                        help="search for a qualifying coordinate at each level")
@@ -353,7 +353,7 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
     if levels * work > args.budget:  # up to `levels` levels, each reading `work`-digit values
         raise EnumerationBudgetError(f"lifting to {target} digits reads {levels} x {work} "
                                      f"digits, budget is {args.budget}")
-    coordinate = None if args.auto_coordinate else (args.coordinate or 1)
+    coordinate = None if args.auto_coordinate else args.coordinate
     trace = hensel_lift_multi(defn, alpha, args.start, args.l0, target, p,
                               coordinate=coordinate, eval_precision=work)
     result = trace.to_json()
@@ -457,9 +457,8 @@ def main(argv: list[str] | None = None) -> int:
             args.output.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     except ParseError as exc:
         return _fail(EXIT_CONFIG, "parse-error", str(exc))
-    except (InvalidPrimeError, EnumerationBudgetError, PreconditionError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (InvalidPrimeError, EnumerationBudgetError, PreconditionError,
+            ValueError, OSError, KeyError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     except PrecisionExhaustedError as exc:
         return _fail(EXIT_PRECISION, "precision", str(exc))

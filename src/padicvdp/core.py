@@ -264,10 +264,6 @@ class PadicInt(Value):
             k += 1
         return k
 
-    def is_zero(self) -> bool:
-        """True when every known digit is zero."""
-        return self.residue == 0
-
     def norm(self) -> Fraction:
         """Exact p-adic absolute value p^(-ord); 0 when no digit is nonzero."""
         from fractions import Fraction
@@ -331,13 +327,6 @@ class PadicInt(Value):
 
     def to_json(self) -> dict:
         return {"p": self.prime, "precision": self.precision, "digits": list(self.digits)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> PadicInt:
-        digits = tuple(data["digits"])
-        if len(digits) != data.get("precision", len(digits)):
-            raise ValueError("digit count does not match declared precision")
-        return cls(data["p"], digits)
 
 
 @lru_cache(maxsize=None)
@@ -518,16 +507,6 @@ class PadicPoint(Value):
     def precision(self) -> int:
         return self.coords[0].precision
 
-    def ord(self) -> int | float:
-        return min(c.ord() for c in self.coords)
-
-    def norm(self) -> Fraction:
-        """Max of the coordinate norms (the sup norm on Z_p^n), an exact Fraction."""
-        return max(c.norm() for c in self.coords)
-
-    def to_integers(self) -> tuple[int, ...]:
-        return tuple(c.to_integer() for c in self.coords)
-
     @classmethod
     def from_integers(cls, values, p: int, precision: int) -> PadicPoint:
         return cls(tuple(from_integer(v, p, precision) for v in values))
@@ -537,10 +516,6 @@ class PadicPoint(Value):
 
     def to_json(self) -> dict:
         return {"coords": [c.to_json() for c in self.coords]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> PadicPoint:
-        return cls(tuple(PadicInt.from_json(c) for c in data["coords"]))
 
 
 class Evaluator:

@@ -132,14 +132,6 @@ class FuncDef(Value, Evaluator):
                             lambda xs: _from_residue(f(xs), p, precision))
         return last[4]
 
-    def to_json(self) -> dict:
-        if self.source is None:
-            raise ValueError("cannot serialize a definition without source text")
-        out: dict = {"arity": self.arity, "body": self.source}
-        if self.alpha is not None:
-            out["alpha"] = list(self.alpha)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -595,10 +587,8 @@ def as_point_function(defn: FuncDef) -> FuncDef:
     return defn
 
 
-def as_univariate(defn: FuncDef | FuncExpr) -> FuncDef:
-    """A one-variable definition, or a bare body of arity 1, callable on single values."""
-    if not isinstance(defn, FuncDef):
-        return FuncDef(1, defn)
+def as_univariate(defn: FuncDef) -> FuncDef:
+    """A one-variable definition, which is callable on single values."""
     if defn.arity != 1:
         raise ValueError(f"expected arity 1, got {defn.arity}")
     return defn
@@ -609,10 +599,10 @@ def well_defined_check(
 ) -> SampledReport:
     """Randomized totality check: a point where some divp does not divide exactly fails.
 
-    F is a body over x1 ... x{arity}, or an evaluator of that arity. Zero
-    failures is evidence, not proof; any failure disproves totality.
+    F is an evaluator of that arity, such as a FuncDef. Zero failures is
+    evidence, not proof; any failure disproves totality.
     """
-    F = on_residues(FuncDef(arity, F) if isinstance(F, FuncExpr) else F, prime, precision, arity)
+    F = on_residues(F, prime, precision, arity)
     modulus = prime**precision
 
     def draw(rng):

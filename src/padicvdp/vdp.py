@@ -218,8 +218,8 @@ class VdpTable(Value, Evaluator):
     def from_json(cls, data: dict) -> VdpTable:
         """Read either format (an "n" key selects the keyed one), checking sizes first."""
         keyed = "n" in data
-        p, level, arity = data["p"], data["K"], data["n"] if keyed else 1
-        for name, value in (("p", p), ("K", level), ("n", arity)):
+        p, level, precision, arity = data["p"], data["K"], data.get("N"), data["n"] if keyed else 1
+        for name, value in (("p", p), ("K", level), ("N", precision), ("n", arity)):
             if type(value) is not int:
                 raise ValueError(f"table field {name} must be an integer, got {value!r}")
         if p < 2 or level < 1 or arity < 1:
@@ -241,6 +241,9 @@ class VdpTable(Value, Evaluator):
             table = cls(p, level, dense("A" if keyed else "B"), arity, data.get("alpha"))
         except LipschitzBoundError as exc:
             raise ValueError(f"stored table: {exc}") from exc
+        if precision != table.precision:  # the least entry precision, as to_json writes it
+            raise ValueError(f"table field N is {precision}, its entries know "
+                             f"{table.precision} digits")
         name = "a" if keyed else "b"  # stored normalized entries must be the derived ones
         if table.normalized is not None and dense(name) != table.normalized:
             raise ValueError(f"table field {name} does not match the coefficients at alpha")

@@ -99,11 +99,10 @@ def test_c01_quintic_end_to_end(capsys):
 
 def test_c02_exact_division_function_certification():
     with criterion(2, "(x - x^7)/7 total over 10^4 samples, in class 1 not 0 at K=3", 5.0):
-        expr = parse(FERMAT_DIFF_TEXT, 1)
-        report = well_defined_check(expr, 1, 7, 9, 10_000, seed=0)
+        f = FuncDef(arity=1, body=parse(FERMAT_DIFF_TEXT, 1))
+        report = well_defined_check(f, 1, 7, 9, 10_000, seed=0)
         assert report.violations == 0
 
-        f = as_univariate(FuncDef(arity=1, body=expr))
         table = vdp_expand_uni(f, 3, 7, 9)
         assert table.size == 343
         assert lip_alpha_check_uni(table, 1).holds
@@ -217,7 +216,7 @@ def test_c08_multivariate_lift():
         F = as_point_function(FuncDef(arity=2, body=expr))
         trace = hensel_lift_multi(F, (0, 0), (5, 0), 1, 8, 7, coordinate=1)
         assert trace.status == STATUS_LIFTED
-        zeta = trace.root.to_integers()
+        zeta = tuple(c.residue for c in trace.root.coords)
         assert (quintic_int(zeta[0], 8) + 7 * zeta[1]) % 7**8 == 0
         reduced = tuple(z % 7**2 for z in zeta)
         assert reduced in brute_force_roots_multi(F, 2, (0, 0), 2, 7)

@@ -17,7 +17,9 @@ import gc
 import importlib
 import re
 import weakref
+from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import padicvdp
 from padicvdp.core import Evaluator, PadicPoint, on_residues
@@ -139,37 +141,57 @@ def test_only_core_and_the_public_boundaries_build_points():
     assert builders == POINT_BUILDERS | {("core.py", "on_residues")}
 
 
-def _names_in(tree) -> set[str]:
+def _names_in(tree) -> Iterator[str]:
     """Every name a tree reads, an attribute it takes or an import it makes."""
-    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            yield node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            yield node.attr
         elif isinstance(node, ast.alias):
-            names.add(node.name.split(".")[-1])
-    return names
+            yield node.name.split(".")[-1]
+
+
+def _names_outside_the_package() -> set[str]:
+    """Every name `perfbench/*.py` or a code block of the README uses."""
+    named = set()
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        named.update(_names_in(ast.parse(path.read_text())))
+    for block in re.findall(r"^```\w*\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M):
+        named.update(re.findall(r"\w+", block))
+    return named
 
 
 def test_every_module_level_definition_has_a_caller_outside_tests():
     # test oracles live in tests/; `__all__` and the re-exports in `__init__` name
     # what the package offers, not a caller, and a definition's own body is no caller
-    defined, named = [], set()
+    defined, named = [], _names_outside_the_package()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.name, node.name))
-                named |= _names_in(node) - {node.name}
+                named.update(set(_names_in(node)) - {node.name})
             else:
-                named |= _names_in(node)
-    for path in sorted((REPO / "perfbench").glob("*.py")):
-        named |= _names_in(ast.parse(path.read_text()))
-    for block in re.findall(r"^```\w*\n(.*?)^```", (REPO / "README.md").read_text(), re.S | re.M):
-        named |= set(re.findall(r"\w+", block))
+                named.update(_names_in(node))
     assert [(module, name) for module, name in defined if name not in named] == []
+
+
+def test_every_class_member_has_a_caller_outside_tests():
+    # a method or property only tests call is a test oracle too; the language calls the
+    # dunders, and a member's own body is no caller
+    members, named = [], Counter(_names_outside_the_package())
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named.update(_names_in(tree))
+        members += [(path.name, f"{cls.name}.{item.name}", item)
+                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for item in cls.body if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    uncalled = [(module, member) for module, member, item in members
+                if named[item.name] == list(_names_in(item)).count(item.name)]
+    assert uncalled == []
 
 
 def _classes_defining(method: str):

@@ -239,7 +239,11 @@ class TestTableValidation:
         ({"p": 7, "K": 1, "N": 1, "B": {}}, "table field B must be a list"),
         ({"p": 4, "K": 1, "N": 1, "B": [[0]] * 4}, "table prime 4 is not prime"),
         ({"p": 7, "K": 0, "N": 1, "B": [[0]]}, "K >= 1"),
-    ], ids=["mapping-for-list", "non-prime", "level-zero"])
+        ({"p": 7, "K": 1, "N": 50, "B": [[0, 0]] * 7},
+         "table field N is 50, its entries know 2 digits"),
+        ({"p": 7, "K": 1, "B": [[0, 0]] * 7}, "table field N must be an integer, got None"),
+    ], ids=["mapping-for-list", "non-prime", "level-zero", "precision-not-the-entries",
+            "precision-missing"])
     def test_a_malformed_header_is_a_config_error(self, capsys, tmp_path, data, message):
         code, out, err = self.lipschitz_on(capsys, tmp_path, data)
         self.assert_config_error(code, out, err)
@@ -309,15 +313,16 @@ class TestRootsAndLift:
         assert payload["result"]["status"] == "lifted"
         assert all(lv["coordinate"] == 2 for lv in payload["result"]["levels"])
 
-    def test_coordinate_out_of_range_for_one_variable(self, capsys):
-        code, out, err = run_cli(
-            capsys, "lift", "--prime", "7", "--expr", QUINTIC_TEXT,
-            "--start", "5", "--target-precision", "4", "--coordinate", "3",
-        )
+    @pytest.mark.parametrize("argv, message", [
+        (["--expr", QUINTIC_TEXT, "--start", "5", "--coordinate", "3"],
+         "coordinate 3 out of range for arity 1"),
+        (["--vars", "2", "--expr", "x1 + x2 - 5", "--start", "5,0", "--coordinate", "0"],
+         "coordinate 0 out of range for arity 2"),
+    ], ids=["above-one-variable", "zero"])
+    def test_coordinate_out_of_range(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "lift", "--prime", "7", *argv, "--target-precision", "4")
         assert code == 2 and out == ""
-        error = json.loads(err)["error"]
-        assert error["category"] == "config"
-        assert "coordinate 3 out of range for arity 1" in error["message"]
+        assert json.loads(err)["error"] == {"category": "config", "message": message}
 
     def test_auto_coordinate_for_one_variable(self, capsys):
         argv = ["lift", "--prime", "7", "--expr", QUINTIC_TEXT,
@@ -376,6 +381,18 @@ class TestWellposed:
         assert alone["result"]["totality"]["failures"] == 38
         residue = payload["result"]["residue"]
         assert not residue["ok"] and residue["failures"] > 0
+
+    @pytest.mark.parametrize("budget, code", [("150", 0), ("149", 2)])
+    def test_residue_digit_cost_is_checked_against_the_budget(self, capsys, budget, code):
+        # samples x (level + 2 + divp budget) digits: 50 x 3 here
+        got, out, err = run_cli(
+            capsys, "wellposed", "--prime", "7", "--expr", "x1", "--residue-level", "1",
+            "--samples", "50", "--budget", budget,
+        )
+        assert got == code
+        if code:
+            assert out == "" and json.loads(err)["error"] == {
+                "category": "config", "message": "residue check reads 150 digits, budget is 149"}
 
     @pytest.mark.parametrize("alpha, code", [("1,0", 0), ("0,0", 1)])
     def test_residue_level_in_two_variables(self, capsys, alpha, code):

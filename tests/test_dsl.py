@@ -295,7 +295,7 @@ class TestFuncDef:
         defn = parse_funcdef(json.loads(text))
         assert defn.arity == 1
         assert defn.alpha == (0,)
-        assert defn.to_json()["body"] == "-5 + digitsum(x1, 4+7*i^3, 5)"
+        assert defn.source == "-5 + digitsum(x1, 4+7*i^3, 5)"
 
     def test_alpha_length_checked(self):
         with pytest.raises(ValueError):
@@ -308,12 +308,10 @@ class TestFuncDef:
     @pytest.mark.parametrize("call, error, message", [
         (lambda: FuncDef(0, Var(1)), ValueError, "arity must be >= 1, got 0"),
         (lambda: parse("x1", 0), ValueError, "arity must be >= 1, got 0"),
-        (lambda: FuncDef(1, Var(1)).to_json(), ValueError,
-         "cannot serialize a definition without source text"),
         (lambda: parse_funcdef([]), ValueError, "malformed function definition: list indices"),
         (lambda: as_univariate(FuncDef(2, Var(2))), ValueError, "expected arity 1, got 2"),
         (lambda: divp_budget("x1"), TypeError, "not an expression node: 'x1'"),
-    ], ids=["funcdef-arity", "parse-arity", "json-without-source", "not-a-mapping",
+    ], ids=["funcdef-arity", "parse-arity", "not-a-mapping",
             "univariate-of-arity-two", "not-a-node"])
     def test_refusals(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}"):
@@ -418,29 +416,30 @@ class TestDivpBudget:
 
 class TestWellDefined:
     def test_fermat_difference_is_total(self):
-        report = well_defined_check(parse("divp(x1 - x1^7, 1)", 1), 1, 7, 8, 500)
+        report = well_defined_check(FuncDef(1, parse("divp(x1 - x1^7, 1)", 1)), 1, 7, 8, 500)
         assert report.violations == 0
         assert report.ok
 
     def test_bare_divp_fails(self):
-        report = well_defined_check(parse("divp(x1, 1)", 1), 1, 7, 8, 500)
+        report = well_defined_check(FuncDef(1, parse("divp(x1, 1)", 1)), 1, 7, 8, 500)
         assert report.violations > 0
         assert report.first_violation is not None
 
     def test_polynomial_never_fails(self):
-        report = well_defined_check(parse("x1^2", 1), 1, 7, 8, 200)
+        report = well_defined_check(FuncDef(1, parse("x1^2", 1)), 1, 7, 8, 200)
         assert report.violations == 0
 
     def test_report_is_seeded(self):
-        expr = parse("divp(x1, 1)", 1)
-        a = well_defined_check(expr, 1, 7, 8, 300, seed=5)
-        b = well_defined_check(expr, 1, 7, 8, 300, seed=5)
+        defn = FuncDef(1, parse("divp(x1, 1)", 1))
+        a = well_defined_check(defn, 1, 7, 8, 300, seed=5)
+        b = well_defined_check(defn, 1, 7, 8, 300, seed=5)
         assert a == b
 
     @pytest.mark.parametrize("arity", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_draws_replay_in_plain_integers(self, arity, seed):
         # (x1^2 - x1)/7 divides exactly when x1 is 0 or 1 mod 7
-        report = well_defined_check(parse("divp(x1^2 - x1, 1)", arity), arity, 7, 4, 200, seed)
+        defn = FuncDef(arity, parse("divp(x1^2 - x1, 1)", arity))
+        report = well_defined_check(defn, arity, 7, 4, 200, seed)
         replay = totality_replay_int(lambda v: v[0] % 7 in (0, 1), arity, 7, 4, 200, seed)
         assert (report.violations, report.first_violation) == replay

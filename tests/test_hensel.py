@@ -224,7 +224,7 @@ class TestLiftMultivariate:
         trace = hensel_lift_multi(F, (0, 0), (5, 0), 1, 8, 7, coordinate=1)
         assert trace.status == STATUS_LIFTED
         assert all(lv.coordinate == 1 for lv in trace.levels)
-        zeta = trace.root.to_integers()
+        zeta = tuple(c.residue for c in trace.root.coords)
         assert (quintic_int(zeta[0], 8) + 7 * zeta[1]) % 7**8 == 0
         assert zeta[0] % 7 == 5 and zeta[1] == 0
         # the reduced root shows up in the brute-force enumeration
@@ -235,7 +235,7 @@ class TestLiftMultivariate:
         F = multi("x1 - 14 + 0 * x2", 2)
         trace = hensel_lift_multi(F, (0, 0), (14 % 3, 2), 1, 6, 3, coordinate=1)
         assert trace.status == STATUS_LIFTED
-        assert trace.root.to_integers() == (14, 2)
+        assert tuple(c.residue for c in trace.root.coords) == (14, 2)
 
     def test_auto_coordinate_skips_flat_direction(self):
         F = multi("x2 - 14 + 0 * x1", 2)
@@ -243,7 +243,7 @@ class TestLiftMultivariate:
         assert trace.status == STATUS_LIFTED
         assert trace.auto_coordinate
         assert all(lv.coordinate == 2 for lv in trace.levels)
-        assert trace.root.to_integers() == (1, 14)
+        assert tuple(c.residue for c in trace.root.coords) == (1, 14)
 
     def test_fixed_flat_coordinate_fails(self):
         F = multi("x2 - 14 + 0 * x1", 2)
@@ -277,7 +277,7 @@ class TestLiftMultivariate:
         F = multi(f"x1 - 5 + {p} * x2", 2)
         trace = hensel_lift_multi(F, (0, 0), (5 % p, 0), 1, 6, p, coordinate=1)
         assert trace.status == STATUS_LIFTED
-        zeta = trace.root.to_integers()
+        zeta = tuple(c.residue for c in trace.root.coords)
         for k in (1, 2, 3):
             reduced = tuple(z % p**k for z in zeta)
             assert reduced in brute_force_roots_multi(

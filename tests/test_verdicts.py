@@ -11,7 +11,7 @@ import json
 import pytest
 
 from padicvdp.core import PrecisionExhaustedError
-from padicvdp.dsl import FuncDef, as_point_function, as_univariate, parse
+from padicvdp.dsl import FuncDef, as_point_function, parse
 from padicvdp.hensel import (
     brute_force_roots_multi,
     hensel_lift_multi,
@@ -34,7 +34,7 @@ from padicvdp.cli import main
 
 
 def uni(text):
-    return as_univariate(parse(text, 1))
+    return FuncDef(1, parse(text, 1))
 
 
 def multi(text, arity):
