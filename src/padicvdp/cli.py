@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -468,10 +469,14 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_EVALUATION, "internal", f"{type(exc).__name__}: {exc}")
 
     payload = {"command": args.command, "config": config, "result": result}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(_render_text(payload))
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print(_render_text(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the interpreter's last flush must not retry
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

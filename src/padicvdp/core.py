@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from itertools import islice
+from operator import ge, gt, mod, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -39,15 +41,19 @@ __all__ = [
     "weight",
     "vanishes_to",
     "vanishing_scan",
+    "column_scan",
     "failed_check",
     "SampledReport",
     "sampled_scan",
     "Evaluator",
     "on_residues",
+    "on_columns",
     "DEFAULT_BUDGET",
+    "COLUMN_CHUNK",
 ]
 
 DEFAULT_BUDGET = 10**7  # evaluations an exhaustive enumeration may spend
+COLUMN_CHUNK = 2**12  # points per call of an evaluator's column form
 
 
 class _DataclassFields:
@@ -75,8 +81,8 @@ class Value:
     `_defaults` holds the defaults of the last fields. Equality and hashing
     read the fields in `_compared` (all when None), within one class.
     `_init` is a frozen dataclass's `__init__`: one slot write per field, then
-    `__post_init__` if the class has one; it is the `__init__` of a subclass
-    that writes none.
+    `__post_init__` if the class has one. It is the `__init__` of a subclass
+    that writes none and inherits none written by hand; `_key` likewise.
     """
 
     __slots__ = ()
@@ -95,11 +101,15 @@ class Value:
         ])
         made: dict = {}  # the slots' own setters are faster than object.__setattr__
         exec(source, {f"_set_{name}": getattr(cls, name).__set__ for name in names}, made)
-        cls._key, cls._init = made["_key"], made["__init__"]
+        cls._init = made["__init__"]
         cls._init.__defaults__ = cls._defaults
         cls._init.__qualname__ = f"{cls.__qualname__}.__init__"
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = cls._init
+        for name, default in (("_key", None), ("__init__", object.__init__)):
+            made[name].generated = True
+            inherited = getattr(cls, name, None)
+            if name not in cls.__dict__ and (inherited is default
+                                             or hasattr(inherited, "generated")):
+                setattr(cls, name, made[name])
 
     def __eq__(self, other) -> bool:
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
@@ -228,14 +238,7 @@ class PadicInt(Value):
         """The value with the given base-p digits, low first; each is validated."""
         _require_prime(prime)
         digits = tuple(digits)
-        if len(digits) < 1:
-            raise PrecisionExhaustedError("a value needs at least one digit")
-        residue = 0
-        for d in reversed(digits):
-            if not isinstance(d, int) or not 0 <= d < prime:
-                raise ValueError(f"digit {d!r} out of range for p={prime}")
-            residue = residue * prime + d
-        self._init(prime, len(digits), residue)
+        self._init(prime, len(digits), _residue_of(digits, prime))
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -256,13 +259,7 @@ class PadicInt(Value):
 
     def ord(self) -> int | float:
         """Index of the first nonzero digit; math.inf when all known digits vanish."""
-        if self.residue == 0:
-            return math.inf
-        k, value = 0, self.residue
-        while value % self.prime == 0:
-            value //= self.prime
-            k += 1
-        return k
+        return _order(self.residue, self.prime)
 
     def norm(self) -> Fraction:
         """Exact p-adic absolute value p^(-ord); 0 when no digit is nonzero."""
@@ -274,30 +271,6 @@ class PadicInt(Value):
     def divisible_by_p_power(self, e: int) -> bool:
         """Whether the first e known digits are all zero (all of them if e > N)."""
         return e <= 0 or self.residue % self.prime ** min(e, self.precision) == 0
-
-    def exact_div_p(self, e: int) -> PadicInt:
-        """Divide by p^e exactly; shifts digits down and costs e digits of precision."""
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
-        if e == 0:
-            return self
-        if not self.divisible_by_p_power(e):
-            raise InexactDivisionError(
-                f"value is not divisible by p^{e} (p={self.prime})"
-            )
-        if self.precision - e < 1:
-            raise PrecisionExhaustedError(
-                f"dividing by p^{e} leaves no known digits (precision {self.precision})"
-            )
-        return _from_residue(self.residue // self.prime**e, self.prime, self.precision - e)
-
-    def mul_pow_p(self, e: int) -> PadicInt:
-        """Multiply by p^e; shifts digits up, gaining e digits of precision."""
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
-        if e == 0:
-            return self
-        return _from_residue(self.residue * self.prime**e, self.prime, self.precision + e)
 
     def _binop_precision(self, other: PadicInt) -> int:
         if not isinstance(other, PadicInt):
@@ -357,6 +330,63 @@ def _digit_list(residue: int, p: int, precision: int) -> list[int]:
     """The first `precision` base-p digits of 0 <= residue < p^precision, low first."""
     digits = [d for block in _digit_blocks(residue, p) for d in block]
     return digits[:precision] + [0] * (precision - len(digits))
+
+
+def _residue_of(digits, p: int) -> int:
+    """The residue with these base-p digits, low first; each is validated, top digit first."""
+    if len(digits) < 1:
+        raise PrecisionExhaustedError("a value needs at least one digit")
+    residue = 0
+    for d in reversed(digits):
+        if not isinstance(d, int) or not 0 <= d < p:
+            raise ValueError(f"digit {d!r} out of range for p={p}")
+        residue = residue * p + d
+    return residue
+
+
+def _order(value: int, p: int) -> int | float:
+    """Index of the lowest nonzero base-p digit of an integer; math.inf for 0."""
+    if value == 0:
+        return math.inf
+    k = 0
+    while value % p == 0:
+        value //= p
+        k += 1
+    return k
+
+
+def _below(residues, precisions, orders, p: int) -> list[int]:
+    """Each residue mod p^min(order, precision): the known digits below its order, as a number.
+
+    It is 0 exactly when those digits vanish, and always where the order is <= 0.
+    """
+    kinds = set(precisions)
+    if len(kinds) == 1:  # the usual table: one precision, so the order picks the modulus
+        n = kinds.pop()
+        moduli = {e: p ** min(e, n) if e > 0 else 1 for e in set(orders)}
+        return list(map(mod, residues, map(moduli.__getitem__, orders)))
+    ks = list(map(min, orders, precisions))
+    moduli = {k: p**k if k > 0 else 1 for k in set(ks)}
+    return list(map(mod, residues, map(moduli.__getitem__, ks)))
+
+
+def _shifted(residues, precisions, shifts, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Residues and precisions divided by p^e (e > 0) or multiplied by p^-e, e in shifts.
+
+    A division must be exact and costs e digits, and one that leaves no known
+    digit raises, the first in order; a multiplication gains -e digits.
+    """
+    below = _below(residues, precisions, shifts, p)
+    if any(below) or any(map(ge, shifts, precisions)):
+        for r, n, e in zip(below, precisions, shifts):
+            if r:
+                raise InexactDivisionError(f"value is not divisible by p^{e} (p={p})")
+            if e >= n:
+                raise PrecisionExhaustedError(
+                    f"dividing by p^{e} leaves no known digits (precision {n})")
+    powers = {e: p ** abs(e) for e in set(shifts)}
+    shifted = [r // powers[e] if e > 0 else r * powers[e] for r, e in zip(residues, shifts)]
+    return tuple(shifted), tuple(map(sub, precisions, shifts))
 
 
 def _from_residue(value: int, p: int, precision: int) -> PadicInt:
@@ -433,6 +463,24 @@ def vanishing_scan(checks: Iterable[tuple], describe: Callable) -> tuple[int, ob
     return failures, first
 
 
+def column_scan(residues, precisions, orders, p: int, describe: Callable,
+                site: Callable[[int], object]) -> tuple[int, object]:
+    """`vanishing_scan` on columns: check i is residues[i] mod p^precisions[i] against orders[i].
+
+    The rule is `_vanishing`'s; site(i) names check i, and is asked only for
+    the first failure, or for the undecided check that raises.
+    """
+    below = _below(residues, precisions, orders, p)
+    failures = len(below) - below.count(0)
+    if failures:
+        return failures, site(next(i for i, r in enumerate(below) if r))
+    if any(map(gt, orders, precisions)):
+        short = next(i for i, (e, n) in enumerate(zip(orders, precisions)) if e > n)
+        raise PrecisionExhaustedError(
+            f"{describe(site(short))} needs {orders[short]} digits, known {precisions[short]}")
+    return 0, None
+
+
 def failed_check(site, p: int) -> tuple:
     """The check of a sample where F is undefined: 1 does not vanish to order 1."""
     return site, _from_residue(1, p, 1), 1
@@ -466,14 +514,25 @@ class SampledReport(Value):
 
 
 def sampled_scan(draw: Callable, samples: int, seed: int, describe: Callable,
-                 label: str = "violations", **echo) -> SampledReport:
+                 label: str = "violations", decide: Callable | None = None,
+                 **echo) -> SampledReport:
     """The one sampling loop: `samples` draws from random.Random(seed), decided by vanishing_scan.
 
     Each draw takes the generator and returns one (site, value, order) check,
-    or None when its sample tests nothing.
+    or None when its sample tests nothing. With `decide`, the batch form, a
+    draw reads no F and returns what `decide` takes, or None: every draw of a
+    batch of COLUMN_CHUNK samples is made first, then `decide` maps the list of
+    its draws, Nones left out, to their checks, so it can evaluate their points
+    together. The generator is read in the same order either way.
     """
     rng = random.Random(seed)
-    drawn = (draw(rng) for _ in range(samples))
+    if decide is None:
+        drawn = (draw(rng) for _ in range(samples))
+    else:
+        batches = (range(start, min(start + COLUMN_CHUNK, samples))
+                   for start in range(0, samples, COLUMN_CHUNK))
+        drawn = (check for batch in batches
+                 for check in decide([d for d in (draw(rng) for _ in batch) if d is not None]))
     violations, first = vanishing_scan((check for check in drawn if check is not None), describe)
     return SampledReport(samples, violations, first, seed, label, tuple(echo.items()))
 
@@ -519,13 +578,24 @@ class PadicPoint(Value):
 
 
 class Evaluator:
-    """A function on Z_p^n that a subclass serves on residues by `on_residues(p, N, n)`."""
+    """A function on Z_p^n that a subclass serves on residues by `on_residues(p, N, n)`.
+
+    A subclass may serve a second form by `on_columns(p, N, n)`: one sequence
+    of coordinate residues per coordinate, all of one length, in; the list of
+    the values' residues and the list of their precisions out. Where F fails
+    at some point, it raises, but not necessarily that point's error:
+    `core.on_columns` is what makes the first point's error the one raised.
+    """
 
     def __call__(self, x: PadicPoint | PadicInt) -> PadicInt:
         """Value at a point, or at a single value when the arity is 1."""
         coords = x.coords if isinstance(x, PadicPoint) else (x,)
         f = self.on_residues(coords[0].prime, coords[0].precision, len(coords))
         return f(tuple([c.residue for c in coords]))
+
+    def on_columns(self, p: int, n: int, arity: int) -> Callable | None:
+        """The column form, if a subclass has one; None sends `core.on_columns` point by point."""
+        return None
 
 
 def on_residues(F: Callable, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
@@ -540,3 +610,48 @@ def on_residues(F: Callable, p: int, n: int, arity: int) -> Callable[[tuple], Pa
     if isinstance(F, Evaluator):
         return F.on_residues(p, n, arity)
     return lambda xs: F(PadicPoint(tuple([_from_residue(x, p, n) for x in xs])))
+
+
+def on_columns(F: Callable, p: int, n: int, arity: int, undefined: tuple = ()
+               ) -> Callable[[Iterable[tuple]], tuple[list, list]]:
+    """F on residue tuples, as the list of its values' residues and the list of their precisions.
+
+    An Evaluator's `on_columns` form takes COLUMN_CHUNK points at a time. A
+    chunk that raises is evaluated again point by point through `on_residues`,
+    so the error raised is the first point's, as in a loop over the points.
+    Without that form, and for a plain callable, which is wrapped as
+    `on_residues` wraps it, each point is evaluated once and in order. A point
+    where F raises one of `undefined` gets None for both.
+    """
+    f = on_residues(F, p, n, arity)
+    columns = F.on_columns(p, n, arity) if isinstance(F, Evaluator) else None
+
+    def by_points(points: Iterable[tuple], residues: list, known: list) -> None:
+        for xs in points:
+            try:
+                value = f(xs)
+            except undefined:
+                residues.append(None)
+                known.append(None)
+                continue
+            if value.prime != p:
+                raise ValueError(f"F gave a value at prime {value.prime}, not {p}")
+            residues.append(value.residue)
+            known.append(value.precision)
+
+    def evaluate(points: Iterable[tuple]) -> tuple[list, list]:
+        residues, known, points = [], [], iter(points)
+        if columns is None:
+            by_points(points, residues, known)
+            return residues, known
+        while chunk := list(islice(points, COLUMN_CHUNK)):
+            try:
+                chunk_residues, chunk_known = columns(list(zip(*chunk)))
+            except Exception:
+                by_points(chunk, residues, known)
+            else:
+                residues += chunk_residues
+                known += chunk_known
+        return residues, known
+
+    return evaluate

@@ -22,7 +22,8 @@ per compiled form (see `FuncDef.on_residues`).
 from __future__ import annotations
 
 from functools import reduce
-from operator import itemgetter, mul
+from itertools import repeat
+from operator import add, floordiv, itemgetter, mod, mul, sub
 from typing import Callable, Union
 
 from .core import (
@@ -38,7 +39,7 @@ from .core import (
     _from_residue,
     failed_check,
     from_rational,
-    on_residues,
+    on_columns,
     sampled_scan,
     weight,
 )
@@ -117,19 +118,32 @@ class FuncDef(Value, Evaluator):
             weight(self.alpha, self.arity)
 
     def on_residues(self, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
-        """The body on the coordinates' residues mod p^n, each divp on a path costing its exponent.
+        """The body on the coordinates' residues mod p^n; each divp on a path costs its exponent."""
+        return self._compiled(p, n, arity)[0]
 
-        Only the latest compiled form is kept, per body object and (p, N, arity), so
-        no earlier expression stays alive; racing callers at worst recompile.
+    def on_columns(self, p: int, n: int, arity: int) -> Callable[[list], tuple[list, list]]:
+        """The body on columns of coordinate residues mod p^n: its residues and precisions."""
+        return self._compiled(p, n, arity)[1]
+
+    def _compiled(self, p: int, n: int, arity: int) -> tuple[Callable, Callable]:
+        """Both forms, compiled together; only the latest compile is kept.
+
+        One slot holds them, per body object and (p, N, arity), so no earlier
+        expression stays alive; racing callers at worst recompile.
         """
         global _last
         if arity != self.arity:
             raise ValueError(f"function of arity {self.arity} applied to point of arity {arity}")
         last = _last
         if not (last[0] is self.body and last[1] == p and last[2] == n and last[3] == arity):
-            f, precision = _compile(self.body, p, n, arity)
+            f, fc, precision = _compile(self.body, p, n, arity)
+            modulus = p**precision
+
+            def columns(cols: list) -> tuple[list, list]:
+                return list(map(mod, fc(cols), repeat(modulus))), [precision] * len(cols[0])
+
             last = _last = (self.body, p, n, arity,
-                            lambda xs: _from_residue(f(xs), p, precision))
+                            (lambda xs: _from_residue(f(xs), p, precision), columns))
         return last[4]
 
 
@@ -466,15 +480,23 @@ def parse_funcdef(data: dict) -> FuncDef:
 # Evaluation
 
 
-def _failing(error: type, message: str, *children: Callable) -> Callable:
-    """A compiled node that evaluates its children left to right, then raises."""
+def _failing(error: type, message: str, *children: Callable) -> tuple[Callable, Callable]:
+    """A compiled node that evaluates its children left to right, then raises; its column form."""
 
     def call(xs):
         for child in children:
             child(xs)
         raise error(message)
 
-    return call
+    def columns(cols):
+        raise error(message)
+
+    return call, columns
+
+
+def _constant(value: int) -> tuple[Callable, Callable]:
+    """A compiled constant, and its column form."""
+    return (lambda xs: value), (lambda cols: [value] * len(cols[0]))
 
 
 class _DigitPowers(dict):
@@ -490,8 +512,8 @@ class _DigitPowers(dict):
         return value
 
 
-def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]:
-    """The expression as a function of the coordinate residues, and its precision.
+def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, Callable, int]:
+    """The expression as a function of the coordinate residues, its column form, and its precision.
 
     Inputs carry n digits; each node's precision is n minus the divp cost on
     its path, so every modulus is fixed here. A node may return any integer
@@ -499,69 +521,87 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]
     congruence, and a divp's check and shift only read digits below it.
     A node whose evaluation must fail raises when called, never here, so the
     first failure in left-to-right order wins as in a walk of the tree.
+    The column form maps one list of residues per coordinate to the list of
+    values, by the same operations; it raises when any point fails, with no
+    promise as to which error.
     """
     match expr:
         case IntConst(value=v):
-            value = v % p**n
-            return (lambda xs: value), n
+            return (*_constant(v % p**n), n)
         case RatConst(numerator=a, denominator=b):
             try:
                 value = from_rational(a, b, p, n).residue
             except (ZeroDivisionError, InexactDivisionError) as exc:
-                return _failing(type(exc), str(exc)), n
-            return (lambda xs: value), n
+                return (*_failing(type(exc), str(exc)), n)
+            return (*_constant(value), n)
         case Var(index=k) | DigitSum(var_index=k) if not 1 <= k <= arity:
-            return _failing(ValueError, f"expression uses x{k} but the point has arity {arity}"), n
+            message = f"expression uses x{k} but the point has arity {arity}"
+            return (*_failing(ValueError, message), n)
         case Var(index=k):
-            return itemgetter(k - 1), n
+            return itemgetter(k - 1), itemgetter(k - 1), n
         case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b):
-            (fa, na), (fb, nb) = _compile(a, p, n, arity), _compile(b, p, n, arity)
+            (fa, ca, na), (fb, cb, nb) = _compile(a, p, n, arity), _compile(b, p, n, arity)
             if isinstance(expr, Add):
-                return (lambda xs: fa(xs) + fb(xs)), min(na, nb)
+                return ((lambda xs: fa(xs) + fb(xs)),
+                        (lambda cols: list(map(add, ca(cols), cb(cols)))), min(na, nb))
             if isinstance(expr, Sub):
-                return (lambda xs: fa(xs) - fb(xs)), min(na, nb)
+                return ((lambda xs: fa(xs) - fb(xs)),
+                        (lambda cols: list(map(sub, ca(cols), cb(cols)))), min(na, nb))
             modulus = p ** min(na, nb)
-            return (lambda xs: fa(xs) * fb(xs) % modulus), min(na, nb)
+            return ((lambda xs: fa(xs) * fb(xs) % modulus),
+                    (lambda cols: list(map(mod, map(mul, ca(cols), cb(cols)), repeat(modulus)))),
+                    min(na, nb))
         case Pow(base=b, exponent=e):
-            fb, nb = _compile(b, p, n, arity)
+            fb, cb, nb = _compile(b, p, n, arity)
             modulus = p**nb
-            return (lambda xs: pow(fb(xs), e, modulus)), nb
+            return ((lambda xs: pow(fb(xs), e, modulus)),
+                    (lambda cols: list(map(pow, cb(cols), repeat(e), repeat(modulus)))), nb)
         case DivP(operand=c, exponent=e):
-            fc, nc = _compile(c, p, n, arity)
+            fc, cc, nc = _compile(c, p, n, arity)
             if e < 0:
-                return _failing(ValueError, f"exponent must be >= 0, got {e}", fc), nc
+                return (*_failing(ValueError, f"exponent must be >= 0, got {e}", fc), nc)
             check = p ** min(e, nc)  # is p^e whenever the division can succeed
+            inexact = f"value is not divisible by p^{e} (p={p})"
+            exhausted = f"dividing by p^{e} leaves no known digits (precision {nc})"
 
             def divp(xs):
                 r = fc(xs)
                 if r % check:
-                    raise InexactDivisionError(f"value is not divisible by p^{e} (p={p})")
+                    raise InexactDivisionError(inexact)
                 if nc <= e:
-                    raise PrecisionExhaustedError(
-                        f"dividing by p^{e} leaves no known digits (precision {nc})")
+                    raise PrecisionExhaustedError(exhausted)
                 return r // check
 
-            return divp, max(nc - e, 1)
+            def divp_columns(cols):
+                rs = cc(cols)
+                if any(map(mod, rs, repeat(check))):
+                    raise InexactDivisionError(inexact)
+                if nc <= e:
+                    raise PrecisionExhaustedError(exhausted)
+                return list(map(floordiv, rs, repeat(check)))
+
+            return divp, divp_columns, max(nc - e, 1)
         case DigitSum(exponent=e) if e < 1:  # 0^0 = 1 would weigh the zeros above the top
-            return _failing(ValueError, f"digitsum exponent must be >= 1, got {e}"), n
+            return (*_failing(ValueError, f"digitsum exponent must be >= 1, got {e}"), n)
         case DigitSum(var_index=k, coeffs=cs, exponent=e):
             coordinate, power = itemgetter(k - 1), _DigitPowers(e, p**n).__getitem__
             width, shift = _digit_walk(p)[:2]
             weights = [p ** (j % width) * _poly_eval(cs, j) for j in range(n)]  # p^t a(bW + t)
             slices = [weights[j : j + width] for j in range(0, n, width)]
 
-            def digitsum(xs):  # block b weighs p^(bW); none above the top nonzero one is read
+            def digitsum(x):  # block b weighs p^(bW); none above the top nonzero one is read
                 total, scale = 0, 1
-                for ws, block in zip(slices, _digit_blocks(coordinate(xs), p)):
+                for ws, block in zip(slices, _digit_blocks(x, p)):
                     total += scale * sum(map(mul, ws, map(power, block)))
                     scale *= shift
                 return total
 
-            return digitsum, n
-    return _failing(TypeError, f"not an expression node: {expr!r}"), n
+            return ((lambda xs: digitsum(coordinate(xs))),
+                    (lambda cols: list(map(digitsum, coordinate(cols)))), n)
+    return (*_failing(TypeError, f"not an expression node: {expr!r}"), n)
 
 
-_last: tuple = (None,) * 5  # (body, p, N, arity, evaluator) of the latest compile
+_last: tuple = (None,) * 5  # (body, p, N, arity, (evaluator, column form)) of the latest compile
 
 
 def divp_budget(expr: FuncExpr) -> int:
@@ -602,16 +642,15 @@ def well_defined_check(
     F is an evaluator of that arity, such as a FuncDef. Zero failures is
     evidence, not proof; any failure disproves totality.
     """
-    F = on_residues(F, prime, precision, arity)
+    F = on_columns(F, prime, precision, arity, undefined=(InexactDivisionError,))
     modulus = prime**precision
 
     def draw(rng):
-        values = tuple(rng.randrange(modulus) for _ in range(arity))
-        try:
-            F(values)
-        except InexactDivisionError:
-            return failed_check(values, prime)
-        return None
+        return tuple(rng.randrange(modulus) for _ in range(arity))
+
+    def decide(points):
+        residues, _ = F(points)
+        return [failed_check(xs, prime) if r is None else None for xs, r in zip(points, residues)]
 
     return sampled_scan(draw, samples, seed, "the totality check at {}".format, "failures",
-                        prime=prime, precision=precision, arity=arity)
+                        decide=decide, prime=prime, precision=precision, arity=arity)

@@ -31,14 +31,19 @@ from .core import (
     PrecisionExhaustedError,
     SampledReport,
     Value,
+    _digit_list,
     _from_residue,
     _json,
+    _below,
+    _order,
+    _residue_of,
+    _shifted,
+    column_scan,
     floor_log_p,
     is_prime,
-    on_residues,
+    on_columns,
     power_within,
     sampled_scan,
-    vanishing_scan,
     weight,
 )
 
@@ -92,14 +97,22 @@ def _check_count(prime: int, exponent: int, count: int, what: str) -> None:
         raise ValueError(f"{what} needs {prime}^{exponent} coefficients, got {count}")
 
 
-def _key(m: tuple[int, ...]) -> str:
+def _index_key(m: tuple[int, ...]) -> str:
     return "(" + ",".join(str(v) for v in m) + ")"
 
 
-def _entry(p: int, digits) -> PadicInt:
-    if not isinstance(digits, list):
-        raise ValueError(f"coefficient entry must be a digit list, got {digits!r}")
-    return PadicInt(p, tuple(digits))
+def _entries(p: int, entries: list) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Residues and precisions of stored digit lists, each checked as a PadicInt's digits are."""
+    residues = []
+    for digits in entries:
+        if not isinstance(digits, list):
+            raise ValueError(f"coefficient entry must be a digit list, got {digits!r}")
+        residues.append(_residue_of(digits, p))
+    return tuple(residues), tuple(map(len, entries))
+
+
+def _padic_ints(p: int, residues, known) -> tuple[PadicInt, ...]:
+    return tuple(map(_from_residue, residues, repeat(p), known))
 
 
 class VdpTable(Value, Evaluator):
@@ -109,28 +122,60 @@ class VdpTable(Value, Evaluator):
     with base-p^level digits m_1 ... m_n, m_n least significant (at arity 1,
     m itself). A table built with alpha (an int at arity 1) checks the bound
     once, then derives `normalized` (else None): a_m = A_m / p^shift.
+    The coefficients are kept as `residues`, each reduced mod p^its
+    precision, and `known`, their precisions; `coeffs`, `coefficient(m)`
+    and `normalized` make PadicInts when read.
     """
 
-    __slots__ = __match_args__ = ("prime", "level", "coeffs", "arity", "alpha")
+    __slots__ = ("prime", "level", "residues", "known", "arity", "alpha", "_normal")
+    __match_args__ = ("prime", "level", "coeffs", "arity", "alpha")
     _defaults = (1, None)
 
-    def __post_init__(self) -> None:
-        _check_count(self.prime, self.level * self.arity, len(self.coeffs),
-                     f"table at level {self.level} and arity {self.arity}")
-        if any(c.prime != self.prime for c in self.coeffs):
+    def __init__(self, prime: int, level: int, coeffs, arity: int = 1, alpha=None) -> None:
+        """The table of these PadicInt coefficients, in storage order."""
+        coeffs = tuple(coeffs)
+        _check_count(prime, level * arity, len(coeffs), f"table at level {level} and arity {arity}")
+        if any(c.prime != prime for c in coeffs):
             raise ValueError("coefficient prime does not match table prime")
-        normalized = None
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", _shape(weight(self.alpha, self.arity)))
-            shifts = _shifts(self, self.alpha)
+        self._fill(prime, level, tuple(c.residue for c in coeffs),
+                   tuple(c.precision for c in coeffs), arity, alpha)
+
+    @classmethod
+    def _of(cls, prime: int, level: int, residues: tuple[int, ...], known: tuple[int, ...],
+            arity: int, alpha=None) -> VdpTable:
+        """The table of coefficients given as residues, reduced mod p^known, and precisions."""
+        _check_count(prime, level * arity, len(residues),
+                     f"table at level {level} and arity {arity}")
+        table = object.__new__(cls)
+        table._fill(prime, level, residues, known, arity, alpha)
+        return table
+
+    def _fill(self, prime: int, level: int, residues: tuple[int, ...], known: tuple[int, ...],
+              arity: int, alpha) -> None:
+        alpha = None if alpha is None else _shape(weight(alpha, arity))
+        fields = {"prime": prime, "level": level, "residues": residues, "known": known,
+                  "arity": arity, "alpha": alpha, "_normal": None}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        if alpha is not None:
+            shifts = _shifts(self, alpha)
             m = _first_violation(self, shifts)
             if m is not None:
                 raise LipschitzBoundError(
                     f"coefficient bound violated at m={_shape(m)}, cannot normalize"
                 )
-            normalized = tuple(c.exact_div_p(e) if e >= 0 else c.mul_pow_p(-e)
-                               for c, e in zip(self.coeffs, shifts))
-        object.__setattr__(self, "normalized", normalized)
+            object.__setattr__(self, "_normal", _shifted(residues, known, shifts, prime))
+
+    def _key(self) -> tuple:
+        return self.prime, self.level, self.residues, self.known, self.arity, self.alpha
+
+    @property
+    def coeffs(self) -> tuple[PadicInt, ...]:
+        return _padic_ints(self.prime, self.residues, self.known)
+
+    @property
+    def normalized(self) -> tuple[PadicInt, ...] | None:
+        return None if self._normal is None else _padic_ints(self.prime, *self._normal)
 
     @property
     def side(self) -> int:
@@ -138,11 +183,11 @@ class VdpTable(Value, Evaluator):
 
     @property
     def size(self) -> int:
-        return len(self.coeffs)
+        return len(self.residues)
 
     @property
     def precision(self) -> int:
-        return min(c.precision for c in self.coeffs)
+        return min(self.known)
 
     def flat_index(self, m: int | Sequence[int]) -> int:
         m = tuple(m) if isinstance(m, (tuple, list)) else (m,)
@@ -156,7 +201,8 @@ class VdpTable(Value, Evaluator):
         return pos
 
     def coefficient(self, m: int | Sequence[int]) -> PadicInt:
-        return self.coeffs[self.flat_index(m)]
+        i = self.flat_index(m)
+        return _from_residue(self.residues[i], self.prime, self.known[i])
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         """Every multi-index of the grid, in storage order."""
@@ -168,13 +214,13 @@ class VdpTable(Value, Evaluator):
         Equals the minimal order of F over the level grid (the partial sums
         telescope), so it reports the sup norm of the truncated function.
         """
-        best = min(c.ord() for c in self.coeffs)
+        best = min(map(_order, self.residues, repeat(self.prime)))
         return None if best == math.inf else int(best)
 
     @cached_property
     def _grid(self) -> tuple[list[int], list[int]]:
         """Residues and precisions of the partial sums on the level grid, in storage order."""
-        grid, known = [c.residue for c in self.coeffs], [c.precision for c in self.coeffs]
+        grid, known = list(self.residues), list(self.known)
         _yates(grid, known, self.prime, self.level, self.arity, +1)
         return grid, known
 
@@ -199,19 +245,20 @@ class VdpTable(Value, Evaluator):
         """{p, K, N, B[, alpha, b]} with lists at arity 1, else {p, n, K, N, A[, alpha, a]}."""
         keyed = self.arity > 1
 
-        def entries(values: tuple[PadicInt, ...]):
+        def entries(residues: tuple[int, ...], known: tuple[int, ...]):
+            digits = map(_digit_list, residues, repeat(self.prime), known)
             if keyed:
-                return {_key(m): list(c.digits) for m, c in zip(self.indices(), values)}
-            return [list(c.digits) for c in values]
+                return {_index_key(m): d for m, d in zip(self.indices(), digits)}
+            return list(digits)
 
         out: dict = {"p": self.prime}
         if keyed:
             out["n"] = self.arity
         out.update(K=self.level, N=self.precision)
-        out["A" if keyed else "B"] = entries(self.coeffs)
+        out["A" if keyed else "B"] = entries(self.residues, self.known)
         if self.alpha is not None:
             out["alpha"] = _json(self.alpha)
-            out["a" if keyed else "b"] = entries(self.normalized or ())
+            out["a" if keyed else "b"] = entries(*self._normal)
         return out
 
     @classmethod
@@ -225,7 +272,7 @@ class VdpTable(Value, Evaluator):
         if p < 2 or level < 1 or arity < 1:
             raise ValueError(f"table needs p >= 2, K >= 1, n >= 1; got {p}, {level}, {arity}")
 
-        def dense(name: str) -> tuple[PadicInt, ...]:
+        def dense(name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
             entries = data[name]
             if not isinstance(entries, dict if keyed else list):
                 raise ValueError(f"table field {name} must be a {'mapping' if keyed else 'list'}")
@@ -234,18 +281,18 @@ class VdpTable(Value, Evaluator):
                 raise ValueError(f"table prime {p} is not prime")
             if keyed:
                 grid = product(range(p**level), repeat=arity)
-                entries = [entries.get(_key(m)) for m in grid]
-            return tuple(_entry(p, digits) for digits in entries)
+                entries = [entries.get(_index_key(m)) for m in grid]
+            return _entries(p, entries)
 
         try:
-            table = cls(p, level, dense("A" if keyed else "B"), arity, data.get("alpha"))
+            table = cls._of(p, level, *dense("A" if keyed else "B"), arity, data.get("alpha"))
         except LipschitzBoundError as exc:
             raise ValueError(f"stored table: {exc}") from exc
         if precision != table.precision:  # the least entry precision, as to_json writes it
             raise ValueError(f"table field N is {precision}, its entries know "
                              f"{table.precision} digits")
         name = "a" if keyed else "b"  # stored normalized entries must be the derived ones
-        if table.normalized is not None and dense(name) != table.normalized:
+        if table._normal is not None and dense(name) != table._normal:
             raise ValueError(f"table field {name} does not match the coefficients at alpha")
         return table
 
@@ -288,17 +335,11 @@ def vdp_expand_multi(
         raise EnumerationBudgetError(
             f"expansion needs {prime}^{level * arity} evaluations, budget is {budget}"
         )
-    F = on_residues(F, prime, precision, arity)
-    grid, known = [], []  # residues of F and their precisions
-    for m in product(range(prime**level), repeat=arity):
-        value = F(m)
-        if value.prime != prime:
-            raise ValueError("coefficient prime does not match table prime")
-        grid.append(value.residue)
-        known.append(value.precision)
+    F = on_columns(F, prime, precision, arity)
+    grid, known = F(product(range(prime**level), repeat=arity))  # F's residues and precisions
     _yates(grid, known, prime, level, arity, -1)
-    coeffs = tuple(map(_from_residue, grid, repeat(prime), known))
-    table = VdpTable(prime=prime, level=level, coeffs=coeffs, arity=arity)
+    residues = tuple(_below(grid, known, known, prime))  # each mod p^its precision
+    table = VdpTable._of(prime, level, residues, tuple(known), arity)
     if table.precision < level:
         raise PrecisionExhaustedError(
             f"expansion to level {level} kept only {table.precision} digits"
@@ -338,15 +379,20 @@ def _shifts(table: VdpTable, alpha: int | Sequence[int]) -> list[int]:
     orders = [vacuous]
     for a in alpha:  # bound_log(v) = j for p^j <= v < p^(j+1)
         axis = [vacuous] * p + [j - a for j in range(1, K) for _ in range(p**j * (p - 1))]
-        orders = [max(o, w) for o in orders for w in axis]
+        orders = [o if o > w else w for o in orders for w in axis]
     empty = -alpha[0] if table.arity == 1 else 0
     return [empty if o == vacuous else o for o in orders]
 
 
 def _first_violation(table: VdpTable, shifts: list[int]) -> tuple[int, ...] | None:
     """First index whose coefficient does not vanish to its order, by the strict scan."""
-    checks = zip(table.indices(), table.coeffs, shifts)
-    return vanishing_scan(checks, lambda m: f"deciding the bound at m={_shape(m)}")[1]
+    side, n = table.side, table.arity
+
+    def index(i: int) -> tuple[int, ...]:  # the multi-index at flat position i
+        return tuple(i // side ** (n - 1 - j) % side for j in range(n))
+
+    return column_scan(table.residues, table.known, shifts, table.prime,
+                       lambda m: f"deciding the bound at m={_shape(m)}", index)[1]
 
 
 def weighted_lip_bound_check(table: VdpTable, alpha: int | Sequence[int]) -> LipschitzVerdict:
@@ -374,7 +420,8 @@ def normalize_weighted(table: VdpTable, alpha: int | Sequence[int]) -> VdpTable:
 
     Requires the coefficient bound to hold; the shift down is then exact.
     """
-    return type(table)(table.prime, table.level, table.coeffs, table.arity, alpha)
+    return type(table)._of(table.prime, table.level, table.residues, table.known, table.arity,
+                           alpha)
 
 
 # the arity-1 names: the general functions take a bare int weight, or one value at arity 1
@@ -413,17 +460,23 @@ def sampled_weighted_lip_check(
     The witness points in first_violation are integers at arity 1.
     """
     alpha = weight(alpha, arity)
-    F = on_residues(F, prime, precision, arity)
+    F = on_columns(F, prime, precision, arity)
     modulus = prime**precision
 
     def draw(rng):
         a = tuple(rng.randrange(modulus) for _ in range(arity))
         b = tuple(rng.randrange(modulus) for _ in range(arity))
-        required = min(_from_residue(ai - bi, prime, precision).ord() - wi
-                       for ai, bi, wi in zip(a, b, alpha))
-        return None if required == math.inf else ((_shape(a), _shape(b)), F(a) - F(b), required)
+        required = min(_order(ai - bi, prime) - wi for ai, bi, wi in zip(a, b, alpha))
+        return None if required == math.inf else (a, b, required)
 
-    return sampled_scan(draw, samples, seed, "deciding the pair {}".format, alpha=alpha)
+    def decide(pairs):  # F(a) - F(b) on the precision both values know
+        residues, known = F([x for a, b, _ in pairs for x in (a, b)])
+        return [((_shape(a), _shape(b)), _from_residue(ra - rb, prime, min(ka, kb)), required)
+                for (a, b, required), ra, rb, ka, kb
+                in zip(pairs, residues[::2], residues[1::2], known[::2], known[1::2])]
+
+    return sampled_scan(draw, samples, seed, "deciding the pair {}".format, decide=decide,
+                        alpha=alpha)
 
 
 def sampled_lip_check_uni(

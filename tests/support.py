@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from padicvdp.core import (
     DEFAULT_BUDGET,
+    InexactDivisionError,
     PadicInt,
     PadicPoint,
+    PrecisionExhaustedError,
     _digit_walk,
     _from_residue,
     from_integer,
@@ -372,6 +374,21 @@ def evaluate(expr, point: PadicPoint) -> PadicInt:
     return FuncDef(point.arity, expr)(point)
 
 
+def exact_div_p(x: PadicInt, e: int) -> PadicInt:
+    """x / p^e exactly; shifts digits down and costs e digits of precision."""
+    if e < 0:
+        raise ValueError(f"exponent must be >= 0, got {e}")
+    if e == 0:
+        return x
+    if x.residue % x.prime ** min(e, x.precision):
+        raise InexactDivisionError(f"value is not divisible by p^{e} (p={x.prime})")
+    if x.precision - e < 1:
+        raise PrecisionExhaustedError(
+            f"dividing by p^{e} leaves no known digits (precision {x.precision})"
+        )
+    return _from_residue(x.residue // x.prime**e, x.prime, x.precision - e)
+
+
 def evaluate_tree(expr, point: PadicPoint) -> PadicInt:
     """Value of the expression at a point, with worst-case precision tracking.
 
@@ -404,7 +421,7 @@ def evaluate_tree(expr, point: PadicPoint) -> PadicInt:
                 pow(v.to_integer(), e, p**v.precision), p, v.precision
             )
         case DivP(operand=c, exponent=e):
-            return evaluate_tree(c, point).exact_div_p(e)
+            return exact_div_p(evaluate_tree(c, point), e)
         case DigitSum(var_index=k, coeffs=cs, exponent=e):
             if not 1 <= k <= point.arity:
                 raise ValueError(

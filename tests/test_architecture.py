@@ -1,12 +1,13 @@
 """Only core knows the digit layout, the rule that decides vanishing, the sampling loop
 and how a consumer's evaluation point is built.
 
-Other modules ask core's `vanishes_to` / `vanishing_scan` and walk digits
-through core; a local prefix test or digit walk would bring back a precision
-rule of its own. Sampled checks hand their draws to core's `sampled_scan`; a
-local seeded loop would bring back a report of its own. Consumers evaluate F
-on residue tuples through core's `on_residues`; a point built per evaluation
-would bring back a per-call adapter of its own. Every class that serves
+Other modules ask core's `vanishes_to` / `vanishing_scan` / `column_scan` and
+walk digits through core; a local prefix test or digit walk would bring back a
+precision rule of its own. Sampled checks hand their draws to core's
+`sampled_scan`; a local seeded loop would bring back a report of its own.
+Consumers evaluate F on residue tuples through core's `on_residues` or
+`on_columns`; a point built per evaluation would bring back a per-call adapter
+of its own. Every class that serves
 `on_residues` is a `core.Evaluator`, whose `__call__` is the only one.
 Every module-level function and class has a caller in the package, the
 benchmark harness or the README; a definition only tests call is a test
@@ -28,8 +29,9 @@ from padicvdp.dsl import FuncDef, parse
 PACKAGE = Path(padicvdp.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
 
-# (module, enclosing function) pairs allowed to read `.digits` outside core
-DIGIT_READERS = {("vdp.py", "VdpTable.to_json")}
+# (module, enclosing function) pairs allowed to read `.digits` outside core: none, as a
+# table writes its digit lists through core's `_digit_list`
+DIGIT_READERS: set = set()
 
 # (module, enclosing function) pairs that build a PadicPoint besides core's one adapter:
 # public boundaries that take or return a point, never a consumer's evaluation loop
@@ -230,7 +232,9 @@ def test_the_compiled_form_of_an_earlier_expression_is_not_kept():
     # one compile slot: a held evaluator keeps no compiled form once another is evaluated
     a, b = FuncDef(1, parse("x1^2 + digitsum(x1, i, 1)", 1)), FuncDef(1, parse("x1 + 1", 1))
     compiled = weakref.ref(on_residues(a, 7, 4, 1))
+    columns = weakref.ref(a.on_columns(7, 4, 1))
     b(point)
     gc.collect()
     assert compiled() is None
+    assert columns() is None
     assert a(point).residue == 3**2  # digitsum weighs digit i by i, and 3 has one digit

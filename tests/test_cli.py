@@ -827,13 +827,15 @@ def test_a_failed_reconstruction_spot_check_is_an_internal_error(capsys, monkeyp
     assert error["message"].startswith("internal: reconstruction mismatch at grid point (")
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
+def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
     """`python -m padicvdp` in a child that imports the package under test, installed or not."""
     src = str(Path(padicvdp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run(
         [sys.executable, "-m", "padicvdp", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60, **kwargs,
     )
 
 
@@ -848,3 +850,20 @@ def test_a_digit_map_at_100000_digits_runs():
                       "--precision", "100000")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["value"]["digits"] == [3] + [0] * 99_999
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lift", "--prime", "7", "--vars", "2", "--expr", "x1 + x2 - 5", "--start", "5,0",
+      "--target-precision", "3"], 0),
+    (["lipschitz", "--prime", "7", "--expr", FERMAT_DIFF_TEXT, "--alpha", "0",
+      "--samples", "50", "--format", "text"], 1),
+], ids=["lift", "violated-text"])
+def test_a_closed_stdout_ends_quietly_with_the_commands_own_exit_code(argv, code):
+    # the reader of the pipe is gone before the child writes, as under `... | head -0`
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")

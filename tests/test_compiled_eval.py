@@ -10,11 +10,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicvdp.core import PadicPoint
+from padicvdp.core import PadicPoint, on_columns
 from padicvdp.dsl import (
     Add,
     DigitSum,
     DivP,
+    FuncDef,
     IntConst,
     Mul,
     Pow,
@@ -76,6 +77,37 @@ def test_compiled_evaluation_matches_the_tree_walk(p, data):
     assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point)
 
 
+def column_outcome(expr, points: list[PadicPoint]):
+    """The column form's (precision, residue) per point, through core's chunked adapter."""
+    p, n, arity = points[0].prime, points[0].precision, points[0].arity
+    F = on_columns(FuncDef(arity, expr), p, n, arity)
+    try:
+        residues, known = F([tuple(c.residue for c in point.coords) for point in points])
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(zip(known, residues))
+
+
+def tree_outcome(expr, points: list[PadicPoint]):
+    """Each point's (precision, residue) by the tree walk, or the first point's error."""
+    values = [outcome(evaluate_tree, expr, point) for point in points]
+    return next((v for v in values if isinstance(v[0], type)), values)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_columnar_evaluation_matches_the_tree_walk_point_by_point(p, data):
+    # the column form runs each node over all points; where any point fails, the error
+    # raised must still be the first point's, class and message
+    n = data.draw(st.integers(1, 8))
+    arity = data.draw(st.integers(1, MAX_ARITY))
+    expr = data.draw(trees(p, arity))
+    point = st.lists(st.integers(0, p**n - 1), min_size=arity, max_size=arity)
+    points = [PadicPoint.from_integers(values, p, n)
+              for values in data.draw(st.lists(point, min_size=1, max_size=20))]
+    assert column_outcome(expr, points) == tree_outcome(expr, points)
+
+
 def test_hand_built_corner_cases_match_the_tree_walk():
     p, n = 7, 3
     point = PadicPoint.from_integers((7**2, 3), p, n)
@@ -97,6 +129,8 @@ def test_hand_built_corner_cases_match_the_tree_walk():
     ]
     for expr in cases:
         assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point), expr
+        points = [PadicPoint.from_integers((7, 1), p, n), point]  # the second point fails more
+        assert column_outcome(expr, points) == tree_outcome(expr, points), expr
 
 
 def test_a_digitsum_exponent_below_one_raises():

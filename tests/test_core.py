@@ -16,6 +16,9 @@ from padicvdp.core import (
     _digit_blocks,
     _digit_list,
     _digit_walk,
+    _from_residue,
+    _shifted,
+    column_scan,
     digit_length,
     floor_log_p,
     from_integer,
@@ -153,26 +156,32 @@ class TestStandardSeq:  # x_t = x mod p^t, read as a value at precision t
             from_integer(10, 3, 4).digit(4)
 
 
+def _shift(x: PadicInt, e: int) -> PadicInt:
+    """x / p^e for e >= 0, else x * p^-e, by core's shift of residue columns."""
+    (residue,), (precision,) = _shifted((x.residue,), (x.precision,), (e,), x.prime)
+    return _from_residue(residue, x.prime, precision)
+
+
 class TestExactDivision:
     def test_shift(self):
         x = PadicInt(3, (0, 0, 1))
-        assert x.exact_div_p(2).digits == (1,)
+        assert _shift(x, 2).digits == (1,)
 
     def test_identity(self):
         x = from_integer(10, 3, 4)
-        assert x.exact_div_p(0) == x
+        assert _shift(x, 0) == x
 
     def test_unit_not_divisible(self):
         with pytest.raises(InexactDivisionError):
-            PadicInt(3, (1, 0, 0)).exact_div_p(1)
+            _shift(PadicInt(3, (1, 0, 0)), 1)
 
     def test_precision_exhausted(self):
         with pytest.raises(PrecisionExhaustedError):
-            PadicInt(3, (0, 0, 0)).exact_div_p(3)
+            _shift(PadicInt(3, (0, 0, 0)), 3)
 
     def test_round_trip_with_shift_up(self):
         x = PadicInt(3, (0, 0, 2, 1))
-        assert x.exact_div_p(2).mul_pow_p(2) == x
+        assert _shift(_shift(x, 2), -2) == x
 
 
 class TestIndexHelpers:
@@ -255,7 +264,8 @@ def _seven(value: int) -> PadicInt:
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: digit_length(-1, 7), ValueError, "digit_length needs m >= 0, got -1"),
-    (lambda: _seven(3).mul_pow_p(-1), ValueError, "exponent must be >= 0, got -1"),
+    (lambda: _shift(_seven(0), 5), PrecisionExhaustedError,
+     "dividing by p^5 leaves no known digits (precision 5)"),
     (lambda: _seven(3) + 3, TypeError, "expected PadicInt, got int"),
     (lambda: from_integer(3, 7, 0), ValueError, "precision must be >= 1, got 0"),
     (lambda: from_rational(1, 2, 7, 0), ValueError, "precision must be >= 1, got 0"),
@@ -264,7 +274,7 @@ def _seven(value: int) -> PadicInt:
     (lambda: PadicInt(7, ()), PrecisionExhaustedError, "a value needs at least one digit"),
     (lambda: PadicInt(7, (7,)), ValueError, "digit 7 out of range for p=7"),
     (lambda: _seven(3).digit(-1), PrecisionExhaustedError, "digit -1 outside known precision 5"),
-], ids=["digit-length", "mul-pow-p", "add-int", "from-integer", "from-rational",
+], ids=["digit-length", "shift-exhausted", "add-int", "from-integer", "from-rational",
         "on-residues", "empty-point", "empty-digits", "digit-range", "digit-index"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -326,17 +336,17 @@ def test_operations_match_integer_model(p, data):
             x.digit(bad)
 
     for e in range(4):
-        _assert_model(x.mul_pow_p(e), p, a * p**e, n + e)
+        _assert_model(_shift(x, -e), p, a * p**e, n + e)
 
     for e in range(n + 2):
         if any(da[:e]):
             with pytest.raises(InexactDivisionError):
-                x.exact_div_p(e)
+                _shift(x, e)
         elif e and n - e < 1:
             with pytest.raises(PrecisionExhaustedError):
-                x.exact_div_p(e)
+                _shift(x, e)
         else:
-            _assert_model(x.exact_div_p(e), p, a // p**e, n - e)
+            _assert_model(_shift(x, e), p, a // p**e, n - e)
 
 
 @pytest.mark.parametrize(
@@ -398,6 +408,32 @@ def test_vanishing_scan_matches_integer_model(case):
                 vanishes_to(value, e, describe, i)
         else:
             assert vanishes_to(value, e, describe, i) == (single == "holds")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_vanishing_cases())
+@example((3, [(0, 6, -1), (0, 2, 3), (0, 1, 0), (54, 4, 1)]))  # undecided at check 1
+@example((3, [(0, 1, 3), (3, 2, 2)]))  # violated after an undecided check
+def test_column_scan_matches_integer_model(case):
+    # the same rule on residue columns; a site is asked for only when it is reported
+    p, checks = case
+    residues = [r % p**n for r, n, _ in checks]
+    precisions, orders = [n for _, n, _ in checks], [e for _, _, e in checks]
+    asked = []
+
+    def site(i):
+        asked.append(i)
+        return f"site {i}"
+
+    verdict, failures, first = vanishing_verdict_int(checks, p)
+    if verdict == "undecided":
+        message = f"^check site {first} needs {orders[first]} digits, known {precisions[first]}$"
+        with pytest.raises(PrecisionExhaustedError, match=message):
+            column_scan(residues, precisions, orders, p, "check {}".format, site)
+    else:
+        got = column_scan(residues, precisions, orders, p, "check {}".format, site)
+        assert got == (failures, None if first is None else f"site {first}")
+    assert asked == ([] if first is None else [first])
 
 
 @pytest.mark.parametrize("alpha, arity, expected", [

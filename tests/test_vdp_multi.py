@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicvdp import vdp
+from padicvdp import core, vdp
 from padicvdp.core import PadicPoint, PrecisionExhaustedError, from_integer
-from padicvdp.dsl import FuncDef, as_point_function, parse
+from padicvdp.dsl import FuncDef, as_point_function, parse, well_defined_check
 from padicvdp.vdp import (
     VdpTable,
     lip_alpha_check_uni,
@@ -77,6 +77,37 @@ def _never(x):
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_small_chunks_give_the_same_table_and_reports(monkeypatch):
+    # an evaluator's column form sees at most COLUMN_CHUNK points a call, and a sampled
+    # check's batches hold COLUMN_CHUNK draws; neither size may change a result
+    sizes = []
+
+    class Spy(FuncDef):
+        def on_columns(self, p, n, arity):
+            columns = super().on_columns(p, n, arity)
+            return lambda cols: sizes.append(len(cols[0])) or columns(cols)
+
+    def results(F):
+        sizes.clear()
+        table = normalize_weighted(vdp_expand_multi(F, 2, 2, 7, 6), (1, 0))
+        expanded = list(sizes)
+        pairs = sampled_weighted_lip_check(F, (0, 0), 300, 2, 7, 6, seed=5)
+        totality = well_defined_check(FuncDef(2, parse("divp(x1 + x2, 1)", 2)), 2, 7, 3, 60)
+        return (table, table.normalized, pairs, totality), expanded
+
+    text = "divp(x1 - x1^7, 1) + x2 * digitsum(x2, 1 + i, 2)"
+    want, whole = results(Spy(2, parse(text, 2)))
+    assert whole == [7**4] and 7**4 <= core.COLUMN_CHUNK  # the grid fits one chunk
+    monkeypatch.setattr(core, "COLUMN_CHUNK", 7)
+    got, chunked = results(Spy(2, parse(text, 2)))
+    assert got == want and not want[2].ok and not want[3].ok
+    assert sum(chunked) == 7**4 and max(sizes) <= 7
+    batches = []  # the batch form holds one chunk's draws at a time
+    core.sampled_scan(lambda rng: rng.random(), 20, 0, str,
+                      decide=lambda drawn: batches.append(len(drawn)) or [])
+    assert batches == [7, 7, 6]
 
 
 class TestIndexSet:
