@@ -211,9 +211,10 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
 
     def draw(rng):
         m = tuple(rng.randrange(table.side) for _ in range(arity))
-        return m, T(m) - F(m), table.precision
+        gap = T(m) - F(m)
+        return m, gap.residue, gap.precision, table.precision
 
-    spot = sampled_scan(draw, min(10, table.size), args.seed,
+    spot = sampled_scan(draw, min(10, table.size), args.seed, p,
                         "the reconstruction at grid point {}".format)
     if not spot.ok:
         raise PadicError(f"internal: reconstruction mismatch at grid point {spot.first_violation}")
@@ -285,9 +286,11 @@ def _cmd_lipschitz(args) -> tuple[dict, dict, int]:
             if m is None:
                 return None
             site = {"coordinate": coord, "fixed": fixed, "violation": m}
-            return site, sub_table.coefficient(m), bound_log(m, p) - alpha[coord - 1]
+            coefficient = sub_table.coefficient(m)
+            return (site, coefficient.residue, coefficient.precision,
+                    bound_log(m, p) - alpha[coord - 1])
 
-        witness = sampled_scan(draw, fixings, args.seed, "projection {}".format).first_violation
+        witness = sampled_scan(draw, fixings, args.seed, p, "projection {}".format).first_violation
         return {
             "applicable": True,
             "samples_per_coordinate": args.projection_samples,

@@ -40,7 +40,6 @@ __all__ = [
     "power_within",
     "weight",
     "vanishes_to",
-    "vanishing_scan",
     "column_scan",
     "failed_check",
     "SampledReport",
@@ -355,28 +354,23 @@ def _order(value: int, p: int) -> int | float:
     return k
 
 
-def _below(residues, precisions, orders, p: int) -> list[int]:
-    """Each residue mod p^min(order, precision): the known digits below its order, as a number.
+def _below(residues, orders, p: int) -> list[int]:
+    """Each residue mod p^order, or 0 where the order is <= 0.
 
-    It is 0 exactly when those digits vanish, and always where the order is <= 0.
+    For a residue reduced mod p^N, that is its known digits below the order,
+    as a number: 0 exactly when they vanish.
     """
-    kinds = set(precisions)
-    if len(kinds) == 1:  # the usual table: one precision, so the order picks the modulus
-        n = kinds.pop()
-        moduli = {e: p ** min(e, n) if e > 0 else 1 for e in set(orders)}
-        return list(map(mod, residues, map(moduli.__getitem__, orders)))
-    ks = list(map(min, orders, precisions))
-    moduli = {k: p**k if k > 0 else 1 for k in set(ks)}
-    return list(map(mod, residues, map(moduli.__getitem__, ks)))
+    moduli = {e: p**e if e > 0 else 1 for e in set(orders)}
+    return list(map(mod, residues, map(moduli.__getitem__, orders)))
 
 
 def _shifted(residues, precisions, shifts, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Residues and precisions divided by p^e (e > 0) or multiplied by p^-e, e in shifts.
+    """Reduced residues and their precisions divided by p^e (e > 0) or times p^-e, e in shifts.
 
     A division must be exact and costs e digits, and one that leaves no known
     digit raises, the first in order; a multiplication gains -e digits.
     """
-    below = _below(residues, precisions, shifts, p)
+    below = _below(residues, shifts, p)
     if any(below) or any(map(ge, shifts, precisions)):
         for r, n, e in zip(below, precisions, shifts):
             if r:
@@ -443,47 +437,34 @@ def vanishes_to(value: PadicInt, order: int, describe: Callable, site) -> bool:
     return verdict
 
 
-def vanishing_scan(checks: Iterable[tuple], describe: Callable) -> tuple[int, object]:
-    """Count the (site, value, order) checks whose value does not vanish; also the first.
+def column_scan(batches: Iterable[tuple], p: int, describe: Callable) -> tuple[int, object]:
+    """Count the checks whose residue does not vanish to its order; also the first one's site.
 
-    A failure is conclusive, so it wins over any site the known digits cannot
-    decide; with no failure, the first such site raises as in `vanishes_to`.
+    Each batch is (site, residues, precisions, orders): check i is residues[i],
+    reduced mod p^precisions[i], against orders[i], and site(i) names it, asked
+    only of the first failure or of the check that raises. A failure is
+    conclusive, so it wins over any check the known digits cannot decide, in
+    any batch; with no failure, the first such check raises as in `vanishes_to`.
     """
     failures, first, short = 0, None, None
-    for site, value, order in checks:
-        verdict = _vanishing(value, order)
-        if verdict is False:
-            if not failures:
-                first = site
-            failures += 1
-        elif verdict is None and short is None:
-            short = (value, order, site)
+    for site, residues, precisions, orders in batches:
+        below = _below(residues, orders, p)
+        count = len(below) - below.count(0)
+        if count and not failures:
+            first = site(next(i for i, r in enumerate(below) if r))
+        failures += count
+        if not failures and short is None and any(map(gt, orders, precisions)):
+            i = next(i for i, (e, n) in enumerate(zip(orders, precisions)) if e > n)
+            short = site, i, orders[i], precisions[i]
     if short is not None and not failures:
-        vanishes_to(short[0], short[1], describe, short[2])  # undecided, so it raises
+        site, i, order, known = short
+        raise PrecisionExhaustedError(f"{describe(site(i))} needs {order} digits, known {known}")
     return failures, first
 
 
-def column_scan(residues, precisions, orders, p: int, describe: Callable,
-                site: Callable[[int], object]) -> tuple[int, object]:
-    """`vanishing_scan` on columns: check i is residues[i] mod p^precisions[i] against orders[i].
-
-    The rule is `_vanishing`'s; site(i) names check i, and is asked only for
-    the first failure, or for the undecided check that raises.
-    """
-    below = _below(residues, precisions, orders, p)
-    failures = len(below) - below.count(0)
-    if failures:
-        return failures, site(next(i for i, r in enumerate(below) if r))
-    if any(map(gt, orders, precisions)):
-        short = next(i for i, (e, n) in enumerate(zip(orders, precisions)) if e > n)
-        raise PrecisionExhaustedError(
-            f"{describe(site(short))} needs {orders[short]} digits, known {precisions[short]}")
-    return 0, None
-
-
-def failed_check(site, p: int) -> tuple:
+def failed_check(site) -> tuple:
     """The check of a sample where F is undefined: 1 does not vanish to order 1."""
-    return site, _from_residue(1, p, 1), 1
+    return site, 1, 1, 1
 
 
 def _json(value):
@@ -513,27 +494,32 @@ class SampledReport(Value):
                 "seed": self.seed, "ok": self.ok}
 
 
-def sampled_scan(draw: Callable, samples: int, seed: int, describe: Callable,
+def sampled_scan(draw: Callable, samples: int, seed: int, p: int, describe: Callable,
                  label: str = "violations", decide: Callable | None = None,
                  **echo) -> SampledReport:
-    """The one sampling loop: `samples` draws from random.Random(seed), decided by vanishing_scan.
+    """The one sampling loop: `samples` draws from random.Random(seed), decided by column_scan.
 
-    Each draw takes the generator and returns one (site, value, order) check,
-    or None when its sample tests nothing. With `decide`, the batch form, a
-    draw reads no F and returns what `decide` takes, or None: every draw of a
-    batch of COLUMN_CHUNK samples is made first, then `decide` maps the list of
-    its draws, Nones left out, to their checks, so it can evaluate their points
-    together. The generator is read in the same order either way.
+    A check is (site, residue, precision, order) at the prime p, the residue
+    reduced mod p^precision, as `column_scan` takes it. Each draw takes the
+    generator and returns one check, or None when its sample tests nothing.
+    With `decide`, the batch form, a draw reads no F and returns what `decide`
+    takes, or None; `decide` maps the list of a batch's draws, Nones left out,
+    to a list of checks, so it can evaluate their points together. Either way
+    the draws are made COLUMN_CHUNK at a time and scanned in draw order, and
+    the generator is read in the same order.
     """
     rng = random.Random(seed)
-    if decide is None:
-        drawn = (draw(rng) for _ in range(samples))
-    else:
-        batches = (range(start, min(start + COLUMN_CHUNK, samples))
-                   for start in range(0, samples, COLUMN_CHUNK))
-        drawn = (check for batch in batches
-                 for check in decide([d for d in (draw(rng) for _ in batch) if d is not None]))
-    violations, first = vanishing_scan((check for check in drawn if check is not None), describe)
+
+    def batches() -> Iterator[tuple]:
+        for start in range(0, samples, COLUMN_CHUNK):
+            drawn = [d for d in (draw(rng) for _ in range(min(COLUMN_CHUNK, samples - start)))
+                     if d is not None]
+            checks = drawn if decide is None else decide(drawn)
+            if checks:
+                sites, residues, precisions, orders = zip(*checks)
+                yield sites.__getitem__, residues, precisions, orders
+
+    violations, first = column_scan(batches(), p, describe)
     return SampledReport(samples, violations, first, seed, label, tuple(echo.items()))
 
 
@@ -580,11 +566,13 @@ class PadicPoint(Value):
 class Evaluator:
     """A function on Z_p^n that a subclass serves on residues by `on_residues(p, N, n)`.
 
-    A subclass may serve a second form by `on_columns(p, N, n)`: one sequence
-    of coordinate residues per coordinate, all of one length, in; the list of
-    the values' residues and the list of their precisions out. Where F fails
-    at some point, it raises, but not necessarily that point's error:
-    `core.on_columns` is what makes the first point's error the one raised.
+    A subclass may serve a second form by `on_columns(p, N, n)`, called with one
+    sequence of coordinate residues per coordinate, all of one length, and a
+    tuple `undefined` of exception classes; it returns the list of the values'
+    residues and the list of their precisions. A point where F raises one of
+    `undefined` may get None for both. Where F fails otherwise at some point,
+    it raises, but not necessarily that point's error: `core.on_columns` is
+    what makes the first point's error the one raised.
     """
 
     def __call__(self, x: PadicPoint | PadicInt) -> PadicInt:
@@ -616,12 +604,13 @@ def on_columns(F: Callable, p: int, n: int, arity: int, undefined: tuple = ()
                ) -> Callable[[Iterable[tuple]], tuple[list, list]]:
     """F on residue tuples, as the list of its values' residues and the list of their precisions.
 
-    An Evaluator's `on_columns` form takes COLUMN_CHUNK points at a time. A
-    chunk that raises is evaluated again point by point through `on_residues`,
-    so the error raised is the first point's, as in a loop over the points.
-    Without that form, and for a plain callable, which is wrapped as
-    `on_residues` wraps it, each point is evaluated once and in order. A point
-    where F raises one of `undefined` gets None for both.
+    A point where F raises one of `undefined` gets None for both. An
+    Evaluator's `on_columns` form takes COLUMN_CHUNK points at a time, and may
+    mark such points itself. A chunk that raises is evaluated again point by
+    point through `on_residues`, so the error raised is the first point's, as
+    in a loop over the points. Without that form, and for a plain callable,
+    which is wrapped as `on_residues` wraps it, each point is evaluated once
+    and in order.
     """
     f = on_residues(F, p, n, arity)
     columns = F.on_columns(p, n, arity) if isinstance(F, Evaluator) else None
@@ -646,7 +635,7 @@ def on_columns(F: Callable, p: int, n: int, arity: int, undefined: tuple = ()
             return residues, known
         while chunk := list(islice(points, COLUMN_CHUNK)):
             try:
-                chunk_residues, chunk_known = columns(list(zip(*chunk)))
+                chunk_residues, chunk_known = columns(list(zip(*chunk)), undefined)
             except Exception:
                 by_points(chunk, residues, known)
             else:

@@ -121,8 +121,12 @@ class FuncDef(Value, Evaluator):
         """The body on the coordinates' residues mod p^n; each divp on a path costs its exponent."""
         return self._compiled(p, n, arity)[0]
 
-    def on_columns(self, p: int, n: int, arity: int) -> Callable[[list], tuple[list, list]]:
-        """The body on columns of coordinate residues mod p^n: its residues and precisions."""
+    def on_columns(self, p: int, n: int, arity: int) -> Callable[[list, tuple], tuple[list, list]]:
+        """The body on columns of coordinate residues mod p^n: its residues and precisions.
+
+        A point where a divp does not divide exactly gets None for both when
+        `undefined` catches InexactDivisionError.
+        """
         return self._compiled(p, n, arity)[1]
 
     def _compiled(self, p: int, n: int, arity: int) -> tuple[Callable, Callable]:
@@ -139,8 +143,13 @@ class FuncDef(Value, Evaluator):
             f, fc, precision = _compile(self.body, p, n, arity)
             modulus = p**precision
 
-            def columns(cols: list) -> tuple[list, list]:
-                return list(map(mod, fc(cols), repeat(modulus))), [precision] * len(cols[0])
+            def columns(cols: list, undefined: tuple) -> tuple[list, list]:
+                inexact = [] if issubclass(InexactDivisionError, undefined) else None
+                residues = list(map(mod, fc([*cols, inexact]), repeat(modulus)))
+                known = [precision] * len(residues)
+                for i in inexact or ():
+                    residues[i] = known[i] = None
+                return residues, known
 
             last = _last = (self.body, p, n, arity,
                             (lambda xs: _from_residue(f(xs), p, precision), columns))
@@ -523,7 +532,9 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, Call
     first failure in left-to-right order wins as in a walk of the tree.
     The column form maps one list of residues per coordinate to the list of
     values, by the same operations; it raises when any point fails, with no
-    promise as to which error.
+    promise as to which error. Its argument ends with one more entry: None, or
+    a list where a divp notes each point it cannot divide exactly, instead of
+    raising, and goes on with 0 there.
     """
     match expr:
         case IntConst(value=v):
@@ -575,7 +586,10 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, Call
             def divp_columns(cols):
                 rs = cc(cols)
                 if any(map(mod, rs, repeat(check))):
-                    raise InexactDivisionError(inexact)
+                    if cols[arity] is None:
+                        raise InexactDivisionError(inexact)
+                    cols[arity].extend(i for i, r in enumerate(rs) if r % check)
+                    rs = [0 if r % check else r for r in rs]
                 if nc <= e:
                     raise PrecisionExhaustedError(exhausted)
                 return list(map(floordiv, rs, repeat(check)))
@@ -650,7 +664,7 @@ def well_defined_check(
 
     def decide(points):
         residues, _ = F(points)
-        return [failed_check(xs, prime) if r is None else None for xs, r in zip(points, residues)]
+        return [failed_check(xs) for xs, r in zip(points, residues) if r is None]
 
-    return sampled_scan(draw, samples, seed, "the totality check at {}".format, "failures",
+    return sampled_scan(draw, samples, seed, prime, "the totality check at {}".format, "failures",
                         decide=decide, prime=prime, precision=precision, arity=arity)

@@ -298,11 +298,13 @@ def well_defined_residue_check(
         y = tuple(xi + rng.randrange(1, lifts) * step for xi in x)
         site = _shape(x), _shape(y)
         try:
-            return site, F(y) - F(x), k - max(alpha)
+            gap = F(y) - F(x)
         except InexactDivisionError:
-            return failed_check(site, prime)
+            return failed_check(site)
+        return site, gap.residue, gap.precision, k - max(alpha)
 
-    return sampled_scan(draw, samples, seed, "deciding the residues of the pair {}".format,
+    return sampled_scan(draw, samples, seed, prime,
+                        "deciding the residues of the pair {}".format,
                         "failures", prime=prime, level=k, alpha=_shape(alpha))
 
 

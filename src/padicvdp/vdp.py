@@ -97,7 +97,7 @@ def _check_count(prime: int, exponent: int, count: int, what: str) -> None:
         raise ValueError(f"{what} needs {prime}^{exponent} coefficients, got {count}")
 
 
-def _index_key(m: tuple[int, ...]) -> str:
+def _key(m: tuple[int, ...]) -> str:
     return "(" + ",".join(str(v) for v in m) + ")"
 
 
@@ -248,7 +248,7 @@ class VdpTable(Value, Evaluator):
         def entries(residues: tuple[int, ...], known: tuple[int, ...]):
             digits = map(_digit_list, residues, repeat(self.prime), known)
             if keyed:
-                return {_index_key(m): d for m, d in zip(self.indices(), digits)}
+                return {_key(m): d for m, d in zip(self.indices(), digits)}
             return list(digits)
 
         out: dict = {"p": self.prime}
@@ -281,7 +281,7 @@ class VdpTable(Value, Evaluator):
                 raise ValueError(f"table prime {p} is not prime")
             if keyed:
                 grid = product(range(p**level), repeat=arity)
-                entries = [entries.get(_index_key(m)) for m in grid]
+                entries = [entries.get(_key(m)) for m in grid]
             return _entries(p, entries)
 
         try:
@@ -338,7 +338,7 @@ def vdp_expand_multi(
     F = on_columns(F, prime, precision, arity)
     grid, known = F(product(range(prime**level), repeat=arity))  # F's residues and precisions
     _yates(grid, known, prime, level, arity, -1)
-    residues = tuple(_below(grid, known, known, prime))  # each mod p^its precision
+    residues = tuple(_below(grid, known, prime))  # each mod p^its precision
     table = VdpTable._of(prime, level, residues, tuple(known), arity)
     if table.precision < level:
         raise PrecisionExhaustedError(
@@ -391,8 +391,8 @@ def _first_violation(table: VdpTable, shifts: list[int]) -> tuple[int, ...] | No
     def index(i: int) -> tuple[int, ...]:  # the multi-index at flat position i
         return tuple(i // side ** (n - 1 - j) % side for j in range(n))
 
-    return column_scan(table.residues, table.known, shifts, table.prime,
-                       lambda m: f"deciding the bound at m={_shape(m)}", index)[1]
+    return column_scan([(index, table.residues, table.known, shifts)], table.prime,
+                       lambda m: f"deciding the bound at m={_shape(m)}")[1]
 
 
 def weighted_lip_bound_check(table: VdpTable, alpha: int | Sequence[int]) -> LipschitzVerdict:
@@ -471,11 +471,11 @@ def sampled_weighted_lip_check(
 
     def decide(pairs):  # F(a) - F(b) on the precision both values know
         residues, known = F([x for a, b, _ in pairs for x in (a, b)])
-        return [((_shape(a), _shape(b)), _from_residue(ra - rb, prime, min(ka, kb)), required)
-                for (a, b, required), ra, rb, ka, kb
-                in zip(pairs, residues[::2], residues[1::2], known[::2], known[1::2])]
+        return [((_shape(a), _shape(b)), (ra - rb) % prime**k, k, required)
+                for (a, b, required), ra, rb, k
+                in zip(pairs, residues[::2], residues[1::2], map(min, known[::2], known[1::2]))]
 
-    return sampled_scan(draw, samples, seed, "deciding the pair {}".format, decide=decide,
+    return sampled_scan(draw, samples, seed, prime, "deciding the pair {}".format, decide=decide,
                         alpha=alpha)
 
 

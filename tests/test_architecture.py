@@ -1,7 +1,7 @@
 """Only core knows the digit layout, the rule that decides vanishing, the sampling loop
 and how a consumer's evaluation point is built.
 
-Other modules ask core's `vanishes_to` / `vanishing_scan` / `column_scan` and
+Other modules ask core's `vanishes_to` / `column_scan` and
 walk digits through core; a local prefix test or digit walk would bring back a
 precision rule of its own. Sampled checks hand their draws to core's
 `sampled_scan`; a local seeded loop would bring back a report of its own.

@@ -10,7 +10,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicvdp.core import PadicPoint, on_columns
+from padicvdp.core import InexactDivisionError, PadicPoint, on_columns
 from padicvdp.dsl import (
     Add,
     DigitSum,
@@ -77,10 +77,10 @@ def test_compiled_evaluation_matches_the_tree_walk(p, data):
     assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point)
 
 
-def column_outcome(expr, points: list[PadicPoint]):
+def column_outcome(expr, points: list[PadicPoint], undefined: tuple = ()):
     """The column form's (precision, residue) per point, through core's chunked adapter."""
     p, n, arity = points[0].prime, points[0].precision, points[0].arity
-    F = on_columns(FuncDef(arity, expr), p, n, arity)
+    F = on_columns(FuncDef(arity, expr), p, n, arity, undefined)
     try:
         residues, known = F([tuple(c.residue for c in point.coords) for point in points])
     except Exception as exc:
@@ -88,9 +88,14 @@ def column_outcome(expr, points: list[PadicPoint]):
     return list(zip(known, residues))
 
 
-def tree_outcome(expr, points: list[PadicPoint]):
-    """Each point's (precision, residue) by the tree walk, or the first point's error."""
+def tree_outcome(expr, points: list[PadicPoint], undefined: tuple = ()):
+    """Each point's (precision, residue) by the tree walk, or the first point's error.
+
+    A point whose error is one of `undefined` gets (None, None) instead.
+    """
     values = [outcome(evaluate_tree, expr, point) for point in points]
+    values = [(None, None) if isinstance(v[0], type) and issubclass(v[0], undefined) else v
+              for v in values]
     return next((v for v in values if isinstance(v[0], type)), values)
 
 
@@ -98,14 +103,16 @@ def tree_outcome(expr, points: list[PadicPoint]):
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 def test_columnar_evaluation_matches_the_tree_walk_point_by_point(p, data):
     # the column form runs each node over all points; where any point fails, the error
-    # raised must still be the first point's, class and message
+    # raised must still be the first point's, class and message, unless `undefined`
+    # catches it: then that point's value is None, as in a loop that catches it
     n = data.draw(st.integers(1, 8))
     arity = data.draw(st.integers(1, MAX_ARITY))
     expr = data.draw(trees(p, arity))
     point = st.lists(st.integers(0, p**n - 1), min_size=arity, max_size=arity)
     points = [PadicPoint.from_integers(values, p, n)
               for values in data.draw(st.lists(point, min_size=1, max_size=20))]
-    assert column_outcome(expr, points) == tree_outcome(expr, points)
+    undefined = data.draw(st.sampled_from([(), (InexactDivisionError,)]))
+    assert column_outcome(expr, points, undefined) == tree_outcome(expr, points, undefined)
 
 
 def test_hand_built_corner_cases_match_the_tree_walk():
@@ -125,12 +132,16 @@ def test_hand_built_corner_cases_match_the_tree_walk():
         DivP(Var(1), 3),
         DivP(Mul(IntConst(p**3), Var(2)), 3),
         DivP(Var(1), -1),
+        DivP(Var(1), 2),  # exact at the second point only
+        Add(DivP(Var(1), 2), DivP(Var(2), 5)),
         "not a node",
     ]
     for expr in cases:
         assert outcome(evaluate, expr, point) == outcome(evaluate_tree, expr, point), expr
         points = [PadicPoint.from_integers((7, 1), p, n), point]  # the second point fails more
         assert column_outcome(expr, points) == tree_outcome(expr, points), expr
+        undefined = (InexactDivisionError,)
+        assert column_outcome(expr, points, undefined) == tree_outcome(expr, points, undefined)
 
 
 def test_a_digitsum_exponent_below_one_raises():

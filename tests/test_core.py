@@ -26,7 +26,6 @@ from padicvdp.core import (
     is_prime,
     on_residues,
     vanishes_to,
-    vanishing_scan,
     weight,
 )
 
@@ -385,55 +384,51 @@ def _vanishing_cases():
 
 
 @settings(max_examples=400, deadline=None)
-@given(_vanishing_cases())
-@example((3, [(0, 6, -1), (0, 2, 3), (0, 1, 0), (54, 4, 1)]))  # undecided at check 1
-@example((2, [(0, 2, 3)]))  # undecided
-@example((3, [(0, 1, 3), (3, 2, 2)]))  # violated after an undecided check
-@example((5, [(0, 3, 2), (25, 3, 2)]))  # holds
-def test_vanishing_scan_matches_integer_model(case):
-    p, checks = case
-    values = [(i, from_integer(r, p, n), e) for i, (r, n, e) in enumerate(checks)]
-    verdict, failures, site = vanishing_verdict_int(checks, p)
-    describe = "check {}".format
-    if verdict == "undecided":
-        _, n, e = checks[site]
-        with pytest.raises(PrecisionExhaustedError, match=f"^check {site} needs {e} digits, known {n}$"):
-            vanishing_scan(values, describe)
-    else:
-        assert vanishing_scan(values, describe) == (failures, site)
-    for (i, value, e), check in zip(values, checks):
-        single = vanishing_verdict_int([check], p)[0]
-        if single == "undecided":
-            with pytest.raises(PrecisionExhaustedError, match=f"^check {i} needs {e} digits"):
-                vanishes_to(value, e, describe, i)
-        else:
-            assert vanishes_to(value, e, describe, i) == (single == "holds")
-
-
-@settings(max_examples=400, deadline=None)
-@given(_vanishing_cases())
-@example((3, [(0, 6, -1), (0, 2, 3), (0, 1, 0), (54, 4, 1)]))  # undecided at check 1
-@example((3, [(0, 1, 3), (3, 2, 2)]))  # violated after an undecided check
-def test_column_scan_matches_integer_model(case):
-    # the same rule on residue columns; a site is asked for only when it is reported
+@given(_vanishing_cases(), st.sets(st.integers(1, 5)))
+@example((3, [(0, 6, -1), (0, 2, 3), (0, 1, 0), (54, 4, 1)]), set())  # undecided at check 1
+@example((2, [(0, 2, 3)]), set())  # undecided
+@example((3, [(0, 1, 3), (3, 2, 2)]), set())  # violated after an undecided check
+@example((3, [(0, 1, 3), (3, 2, 2)]), {1})  # violated in a later batch than an undecided one
+@example((5, [(0, 3, 2), (25, 3, 2)]), {1})  # holds
+def test_column_scan_matches_integer_model(case, cuts):
+    # the checks cut into batches at the given positions; the rule spans batches, and a
+    # site is asked for only when it is reported
     p, checks = case
     residues = [r % p**n for r, n, _ in checks]
     precisions, orders = [n for _, n, _ in checks], [e for _, _, e in checks]
+    bounds = [0, *sorted(c for c in cuts if c < len(checks)), len(checks)]
     asked = []
 
-    def site(i):
-        asked.append(i)
-        return f"site {i}"
+    def batch(lo, hi):
+        def site(i):
+            asked.append(lo + i)
+            return f"site {lo + i}"
 
+        return site, residues[lo:hi], precisions[lo:hi], orders[lo:hi]
+
+    batches = [batch(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     verdict, failures, first = vanishing_verdict_int(checks, p)
     if verdict == "undecided":
         message = f"^check site {first} needs {orders[first]} digits, known {precisions[first]}$"
         with pytest.raises(PrecisionExhaustedError, match=message):
-            column_scan(residues, precisions, orders, p, "check {}".format, site)
+            column_scan(batches, p, "check {}".format)
     else:
-        got = column_scan(residues, precisions, orders, p, "check {}".format, site)
+        got = column_scan(batches, p, "check {}".format)
         assert got == (failures, None if first is None else f"site {first}")
     assert asked == ([] if first is None else [first])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_vanishing_cases())
+def test_vanishes_to_matches_integer_model(case):
+    p, checks = case
+    for i, (r, n, e) in enumerate(checks):
+        value, single = from_integer(r, p, n), vanishing_verdict_int([(r, n, e)], p)[0]
+        if single == "undecided":
+            with pytest.raises(PrecisionExhaustedError, match=f"^check {i} needs {e} digits"):
+                vanishes_to(value, e, "check {}".format, i)
+        else:
+            assert vanishes_to(value, e, "check {}".format, i) == (single == "holds")
 
 
 @pytest.mark.parametrize("alpha, arity, expected", [

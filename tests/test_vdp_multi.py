@@ -87,7 +87,7 @@ def test_small_chunks_give_the_same_table_and_reports(monkeypatch):
     class Spy(FuncDef):
         def on_columns(self, p, n, arity):
             columns = super().on_columns(p, n, arity)
-            return lambda cols: sizes.append(len(cols[0])) or columns(cols)
+            return lambda cols, undefined: sizes.append(len(cols[0])) or columns(cols, undefined)
 
     def results(F):
         sizes.clear()
@@ -105,7 +105,7 @@ def test_small_chunks_give_the_same_table_and_reports(monkeypatch):
     assert got == want and not want[2].ok and not want[3].ok
     assert sum(chunked) == 7**4 and max(sizes) <= 7
     batches = []  # the batch form holds one chunk's draws at a time
-    core.sampled_scan(lambda rng: rng.random(), 20, 0, str,
+    core.sampled_scan(lambda rng: rng.random(), 20, 0, 7, str,
                       decide=lambda drawn: batches.append(len(drawn)) or [])
     assert batches == [7, 7, 6]
 
