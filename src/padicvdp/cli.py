@@ -22,9 +22,10 @@ from .core import (
     InvalidPrimeError,
     PadicError,
     PrecisionExhaustedError,
+    _from_residue,
     from_integer,
     is_prime,
-    on_residues,
+    on_columns,
     power_within,
     sampled_scan,
     weight,
@@ -207,15 +208,16 @@ def _cmd_expand(args) -> tuple[dict, dict, int]:
     table = vdp_expand_multi(defn, level, arity, p, work, budget=args.budget)
 
     # success postcondition: reconstruction spot check on sampled grid points
-    T, F = on_residues(table, p, work, arity), on_residues(defn, p, work, arity)
+    T, F = on_columns(table, p, work, arity), on_columns(defn, p, work, arity)
 
-    def draw(rng):
-        m = tuple(rng.randrange(table.side) for _ in range(arity))
-        gap = T(m) - F(m)
-        return m, gap.residue, gap.precision, table.precision
+    def decide(points):  # T(m) - F(m) on the precision both values know
+        (tr, tk), (fr, fk) = T(points), F(points)
+        return [(m, (a - b) % p ** min(n, k), min(n, k), table.precision)
+                for m, a, n, b, k in zip(points, tr, tk, fr, fk)]
 
-    spot = sampled_scan(draw, min(10, table.size), args.seed, p,
-                        "the reconstruction at grid point {}".format)
+    spot = sampled_scan(lambda rng: tuple(rng.randrange(table.side) for _ in range(arity)),
+                        min(10, table.size), args.seed, p,
+                        "the reconstruction at grid point {}".format, decide=decide)
     if not spot.ok:
         raise PadicError(f"internal: reconstruction mismatch at grid point {spot.first_violation}")
 
@@ -235,8 +237,9 @@ def _cmd_eval(args) -> tuple[dict, dict, int]:
     if any(v < 0 for v in args.point):
         raise ValueError("point coordinates must be >= 0")
     work = _work(args.precision, defn, args.budget)
-    F = on_residues(defn, p, work, len(args.point))  # refuses another arity
-    value = F(tuple(v % p**work for v in args.point))  # known to work - divp budget = --precision
+    F = on_columns(defn, p, work, len(args.point))  # refuses another arity
+    (residue,), (known,) = F([tuple(v % p**work for v in args.point)])
+    value = _from_residue(residue, p, known)  # known to work - divp budget = --precision
     result = {"value": value.to_json(), "text": str(value)}
     config = _config_echo(args, arity=defn.arity, point=list(args.point))
     return result, config, EXIT_OK
@@ -352,8 +355,8 @@ def _cmd_lift(args) -> tuple[dict, dict, int]:
         raise ValueError(
             f"--start has {len(args.start)} entries, function arity is {defn.arity}"
         )
-    work = _work(target, defn, args.budget)
     levels = max(target, args.l0 + max(alpha))  # the start residues are read to l0 + alpha
+    work = _work(levels, defn, args.budget)
     if levels * work > args.budget:  # up to `levels` levels, each reading `work`-digit values
         raise EnumerationBudgetError(f"lifting to {target} digits reads {levels} x {work} "
                                      f"digits, budget is {args.budget}")

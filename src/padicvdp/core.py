@@ -45,7 +45,6 @@ __all__ = [
     "SampledReport",
     "sampled_scan",
     "Evaluator",
-    "on_residues",
     "on_columns",
     "DEFAULT_BUDGET",
     "COLUMN_CHUNK",
@@ -244,14 +243,6 @@ class PadicInt(Value):
         """The known base-p digits, low first."""
         return tuple(_digit_list(self.residue, self.prime, self.precision))
 
-    def digit(self, i: int) -> int:
-        """The coefficient of p^i, for 0 <= i < precision."""
-        if not 0 <= i < self.precision:
-            raise PrecisionExhaustedError(
-                f"digit {i} outside known precision {self.precision}"
-            )
-        return self.residue // self.prime**i % self.prime
-
     def to_integer(self) -> int:
         """The standard representative in [0, p^N)."""
         return self.residue
@@ -266,10 +257,6 @@ class PadicInt(Value):
 
         k = self.ord()
         return Fraction(0) if k == math.inf else Fraction(1, self.prime**k)
-
-    def divisible_by_p_power(self, e: int) -> bool:
-        """Whether the first e known digits are all zero (all of them if e > N)."""
-        return e <= 0 or self.residue % self.prime ** min(e, self.precision) == 0
 
     def _binop_precision(self, other: PadicInt) -> int:
         if not isinstance(other, PadicInt):
@@ -416,25 +403,19 @@ def from_rational(num: int, den: int, p: int, precision: int) -> PadicInt:
     return _from_residue(num * inv, p, precision)
 
 
-def _vanishing(value: PadicInt, order: int) -> bool | None:
-    """Whether value vanishes to order; None when its known digits cannot tell.
+def vanishes_to(residue: int, precision: int, order: int, p: int, describe: Callable,
+                site) -> bool:
+    """Whether a residue known to `precision` digits vanishes to order; if undecided, raises.
 
     A nonzero known digit below the order is conclusive; known digits that
-    all vanish but stop short of the order decide nothing.
+    all vanish but stop short of the order decide nothing, and the error
+    names describe(site) and the digits needed and known.
     """
-    if not value.divisible_by_p_power(order):
+    if order > 0 and residue % p ** min(order, precision):
         return False
-    return True if order <= value.precision else None
-
-
-def vanishes_to(value: PadicInt, order: int, describe: Callable, site) -> bool:
-    """Whether value vanishes to order; if undecided, raises naming describe(site)."""
-    verdict = _vanishing(value, order)
-    if verdict is None:
-        raise PrecisionExhaustedError(
-            f"{describe(site)} needs {order} digits, known {value.precision}"
-        )
-    return verdict
+    if order > precision:
+        raise PrecisionExhaustedError(f"{describe(site)} needs {order} digits, known {precision}")
+    return True
 
 
 def column_scan(batches: Iterable[tuple], p: int, describe: Callable) -> tuple[int, object]:
@@ -564,40 +545,24 @@ class PadicPoint(Value):
 
 
 class Evaluator:
-    """A function on Z_p^n that a subclass serves on residues by `on_residues(p, N, n)`.
+    """A function on Z_p^n that a subclass serves by `on_columns(p, N, n)`.
 
-    A subclass may serve a second form by `on_columns(p, N, n)`, called with one
-    sequence of coordinate residues per coordinate, all of one length, and a
-    tuple `undefined` of exception classes; it returns the list of the values'
-    residues and the list of their precisions. A point where F raises one of
-    `undefined` may get None for both. Where F fails otherwise at some point,
-    it raises, but not necessarily that point's error: `core.on_columns` is
-    what makes the first point's error the one raised.
+    That form is called with one sequence of coordinate residues mod p^N per
+    coordinate, all of one length, and a tuple `undefined` of exception
+    classes; it returns the list of the values' residues, each reduced mod
+    p^its precision, and the list of their precisions. A point where F raises
+    one of `undefined` may get None for both. Where F fails otherwise at some
+    point, it raises; on a single point, that point's error, but on several
+    not necessarily the first one's: `core.on_columns` is what makes the
+    first point's error the one raised.
     """
 
     def __call__(self, x: PadicPoint | PadicInt) -> PadicInt:
-        """Value at a point, or at a single value when the arity is 1."""
+        """Value at a point, or at a single value when the arity is 1: a one-point column."""
         coords = x.coords if isinstance(x, PadicPoint) else (x,)
-        f = self.on_residues(coords[0].prime, coords[0].precision, len(coords))
-        return f(tuple([c.residue for c in coords]))
-
-    def on_columns(self, p: int, n: int, arity: int) -> Callable | None:
-        """The column form, if a subclass has one; None sends `core.on_columns` point by point."""
-        return None
-
-
-def on_residues(F: Callable, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
-    """F as a function of `arity` coordinate residues mod p^n: its own form for an Evaluator.
-
-    A plain callable on points is wrapped, so this is the one place a consumer's
-    point is built; an evaluator of another arity raises here, before any call.
-    """
-    _require_prime(p)
-    if n < 1:
-        raise ValueError(f"precision must be >= 1, got {n}")
-    if isinstance(F, Evaluator):
-        return F.on_residues(p, n, arity)
-    return lambda xs: F(PadicPoint(tuple([_from_residue(x, p, n) for x in xs])))
+        p, n = coords[0].prime, coords[0].precision
+        (residue,), (known,) = self.on_columns(p, n, len(coords))([[c.residue] for c in coords], ())
+        return _from_residue(residue, p, known)
 
 
 def on_columns(F: Callable, p: int, n: int, arity: int, undefined: tuple = ()
@@ -605,28 +570,36 @@ def on_columns(F: Callable, p: int, n: int, arity: int, undefined: tuple = ()
     """F on residue tuples, as the list of its values' residues and the list of their precisions.
 
     A point where F raises one of `undefined` gets None for both. An
-    Evaluator's `on_columns` form takes COLUMN_CHUNK points at a time, and may
-    mark such points itself. A chunk that raises is evaluated again point by
-    point through `on_residues`, so the error raised is the first point's, as
-    in a loop over the points. Without that form, and for a plain callable,
-    which is wrapped as `on_residues` wraps it, each point is evaluated once
-    and in order.
+    Evaluator's column form takes COLUMN_CHUNK points at a time, and may mark
+    such points itself; an evaluator of another arity raises here, before any
+    call. A chunk that raises is evaluated again one point at a time, as
+    one-point columns, so the error raised is the first point's, as in a loop
+    over the points. A plain callable on points is called once per point and
+    in order, so this is the one place a consumer's point is built.
     """
-    f = on_residues(F, p, n, arity)
-    columns = F.on_columns(p, n, arity) if isinstance(F, Evaluator) else None
+    _require_prime(p)
+    if n < 1:
+        raise ValueError(f"precision must be >= 1, got {n}")
+    if isinstance(F, Evaluator):
+        columns = F.on_columns(p, n, arity)
+        one = lambda xs: columns([[x] for x in xs], undefined)
+    else:
+        columns = None
+
+        def one(xs: tuple) -> tuple[list, list]:
+            value = F(PadicPoint(tuple([_from_residue(x, p, n) for x in xs])))
+            if value.prime != p:
+                raise ValueError(f"F gave a value at prime {value.prime}, not {p}")
+            return [value.residue], [value.precision]
 
     def by_points(points: Iterable[tuple], residues: list, known: list) -> None:
         for xs in points:
             try:
-                value = f(xs)
+                residue, precision = one(xs)
             except undefined:
-                residues.append(None)
-                known.append(None)
-                continue
-            if value.prime != p:
-                raise ValueError(f"F gave a value at prime {value.prime}, not {p}")
-            residues.append(value.residue)
-            known.append(value.precision)
+                residue, precision = [None], [None]
+            residues += residue
+            known += precision
 
     def evaluate(points: Iterable[tuple]) -> tuple[list, list]:
         residues, known, points = [], [], iter(points)

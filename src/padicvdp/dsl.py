@@ -17,7 +17,7 @@ which is how locally-defined digit maps are written; a is an expr over
 integers and the digit index i (a name nowhere else), of degree at most
 MAX_DEPTH and below 2^(MAX_DEPTH^2) in absolute sum. Rational constants must
 have denominator coprime to p; they are embedded by modular inversion once
-per compiled form (see `FuncDef.on_residues`).
+per compiled form (see `FuncDef.on_columns`).
 """
 from __future__ import annotations
 
@@ -30,13 +30,11 @@ from .core import (
     Evaluator,
     InexactDivisionError,
     PadicError,
-    PadicInt,
     PrecisionExhaustedError,
     SampledReport,
     Value,
     _digit_blocks,
     _digit_walk,
-    _from_residue,
     failed_check,
     from_rational,
     on_columns,
@@ -117,42 +115,32 @@ class FuncDef(Value, Evaluator):
         if self.alpha is not None:
             weight(self.alpha, self.arity)
 
-    def on_residues(self, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
-        """The body on the coordinates' residues mod p^n; each divp on a path costs its exponent."""
-        return self._compiled(p, n, arity)[0]
-
     def on_columns(self, p: int, n: int, arity: int) -> Callable[[list, tuple], tuple[list, list]]:
         """The body on columns of coordinate residues mod p^n: its residues and precisions.
 
-        A point where a divp does not divide exactly gets None for both when
-        `undefined` catches InexactDivisionError.
-        """
-        return self._compiled(p, n, arity)[1]
-
-    def _compiled(self, p: int, n: int, arity: int) -> tuple[Callable, Callable]:
-        """Both forms, compiled together; only the latest compile is kept.
-
-        One slot holds them, per body object and (p, N, arity), so no earlier
-        expression stays alive; racing callers at worst recompile.
+        Each divp on a path costs its exponent. A point where a divp does not
+        divide exactly gets None for both when `undefined` catches
+        InexactDivisionError. Only the latest compile is kept: one slot holds
+        it, per body object and (p, N, arity), so no earlier expression stays
+        alive; racing callers at worst recompile.
         """
         global _last
         if arity != self.arity:
             raise ValueError(f"function of arity {self.arity} applied to point of arity {arity}")
         last = _last
         if not (last[0] is self.body and last[1] == p and last[2] == n and last[3] == arity):
-            f, fc, precision = _compile(self.body, p, n, arity)
+            compiled, precision = _compile(self.body, p, n, arity)
             modulus = p**precision
 
             def columns(cols: list, undefined: tuple) -> tuple[list, list]:
-                inexact = [] if issubclass(InexactDivisionError, undefined) else None
-                residues = list(map(mod, fc([*cols, inexact]), repeat(modulus)))
+                inexact = set() if issubclass(InexactDivisionError, undefined) else None
+                residues = list(map(mod, compiled([*cols, inexact]), repeat(modulus)))
                 known = [precision] * len(residues)
                 for i in inexact or ():
                     residues[i] = known[i] = None
                 return residues, known
 
-            last = _last = (self.body, p, n, arity,
-                            (lambda xs: _from_residue(f(xs), p, precision), columns))
+            last = _last = (self.body, p, n, arity, columns)
         return last[4]
 
 
@@ -489,23 +477,31 @@ def parse_funcdef(data: dict) -> FuncDef:
 # Evaluation
 
 
-def _failing(error: type, message: str, *children: Callable) -> tuple[Callable, Callable]:
-    """A compiled node that evaluates its children left to right, then raises; its column form."""
+def _live(cols: list) -> bool:
+    """Whether some point of the column has no inexact division noted yet.
 
-    def call(xs):
-        for child in children:
-            child(xs)
-        raise error(message)
+    A noted point failed first in a walk of the tree, so an error raised for
+    the whole column is that of the others alone; with none left, nothing raises.
+    """
+    return cols[-1] is None or len(cols[-1]) < len(cols[0])
+
+
+def _failing(error: type, message: str, *children: Callable) -> Callable:
+    """A compiled node that evaluates its children left to right, then raises."""
 
     def columns(cols):
-        raise error(message)
+        for child in children:
+            child(cols)
+        if _live(cols):
+            raise error(message)
+        return [0] * len(cols[0])
 
-    return call, columns
+    return columns
 
 
-def _constant(value: int) -> tuple[Callable, Callable]:
-    """A compiled constant, and its column form."""
-    return (lambda xs: value), (lambda cols: [value] * len(cols[0]))
+def _constant(value: int) -> Callable:
+    """A compiled constant."""
+    return lambda cols: [value] * len(cols[0])
 
 
 class _DigitPowers(dict):
@@ -521,82 +517,69 @@ class _DigitPowers(dict):
         return value
 
 
-def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, Callable, int]:
-    """The expression as a function of the coordinate residues, its column form, and its precision.
+def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]:
+    """The expression as a function of columns of coordinate residues, and its precision.
 
     Inputs carry n digits; each node's precision is n minus the divp cost on
-    its path, so every modulus is fixed here. A node may return any integer
-    congruent to its value mod p^precision: ring operations keep that
-    congruence, and a divp's check and shift only read digits below it.
-    A node whose evaluation must fail raises when called, never here, so the
-    first failure in left-to-right order wins as in a walk of the tree.
-    The column form maps one list of residues per coordinate to the list of
-    values, by the same operations; it raises when any point fails, with no
-    promise as to which error. Its argument ends with one more entry: None, or
-    a list where a divp notes each point it cannot divide exactly, instead of
-    raising, and goes on with 0 there.
+    its path, so every modulus is fixed here. The compiled node maps one
+    list of residues per coordinate to the list of its values, each any
+    integer congruent to the value mod p^precision: ring operations keep that
+    congruence, and a divp's check and shift only read digits below it. The
+    argument ends with one more entry: None, or a set where a divp notes each
+    point it cannot divide exactly, instead of raising, and goes on with 0
+    there. A node whose evaluation must fail raises when called, never here,
+    and runs its children first. So on one point, the first failure in
+    left-to-right order wins as in a walk of the tree; on several, a node
+    raises when any point fails, with no promise as to which error.
     """
     match expr:
         case IntConst(value=v):
-            return (*_constant(v % p**n), n)
+            return _constant(v % p**n), n
         case RatConst(numerator=a, denominator=b):
             try:
                 value = from_rational(a, b, p, n).residue
             except (ZeroDivisionError, InexactDivisionError) as exc:
-                return (*_failing(type(exc), str(exc)), n)
-            return (*_constant(value), n)
+                return _failing(type(exc), str(exc)), n
+            return _constant(value), n
         case Var(index=k) | DigitSum(var_index=k) if not 1 <= k <= arity:
-            message = f"expression uses x{k} but the point has arity {arity}"
-            return (*_failing(ValueError, message), n)
+            return _failing(ValueError, f"expression uses x{k} but the point has arity {arity}"), n
         case Var(index=k):
-            return itemgetter(k - 1), itemgetter(k - 1), n
+            return itemgetter(k - 1), n
         case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b):
-            (fa, ca, na), (fb, cb, nb) = _compile(a, p, n, arity), _compile(b, p, n, arity)
+            (ca, na), (cb, nb) = _compile(a, p, n, arity), _compile(b, p, n, arity)
             if isinstance(expr, Add):
-                return ((lambda xs: fa(xs) + fb(xs)),
-                        (lambda cols: list(map(add, ca(cols), cb(cols)))), min(na, nb))
+                return (lambda cols: list(map(add, ca(cols), cb(cols)))), min(na, nb)
             if isinstance(expr, Sub):
-                return ((lambda xs: fa(xs) - fb(xs)),
-                        (lambda cols: list(map(sub, ca(cols), cb(cols)))), min(na, nb))
+                return (lambda cols: list(map(sub, ca(cols), cb(cols)))), min(na, nb)
             modulus = p ** min(na, nb)
-            return ((lambda xs: fa(xs) * fb(xs) % modulus),
-                    (lambda cols: list(map(mod, map(mul, ca(cols), cb(cols)), repeat(modulus)))),
+            return ((lambda cols: list(map(mod, map(mul, ca(cols), cb(cols)), repeat(modulus)))),
                     min(na, nb))
         case Pow(base=b, exponent=e):
-            fb, cb, nb = _compile(b, p, n, arity)
+            cb, nb = _compile(b, p, n, arity)
             modulus = p**nb
-            return ((lambda xs: pow(fb(xs), e, modulus)),
-                    (lambda cols: list(map(pow, cb(cols), repeat(e), repeat(modulus)))), nb)
+            return (lambda cols: list(map(pow, cb(cols), repeat(e), repeat(modulus)))), nb
         case DivP(operand=c, exponent=e):
-            fc, cc, nc = _compile(c, p, n, arity)
+            cc, nc = _compile(c, p, n, arity)
             if e < 0:
-                return (*_failing(ValueError, f"exponent must be >= 0, got {e}", fc), nc)
+                return _failing(ValueError, f"exponent must be >= 0, got {e}", cc), nc
             check = p ** min(e, nc)  # is p^e whenever the division can succeed
             inexact = f"value is not divisible by p^{e} (p={p})"
             exhausted = f"dividing by p^{e} leaves no known digits (precision {nc})"
 
-            def divp(xs):
-                r = fc(xs)
-                if r % check:
-                    raise InexactDivisionError(inexact)
-                if nc <= e:
-                    raise PrecisionExhaustedError(exhausted)
-                return r // check
-
-            def divp_columns(cols):
+            def divp(cols):
                 rs = cc(cols)
                 if any(map(mod, rs, repeat(check))):
-                    if cols[arity] is None:
+                    if cols[-1] is None:
                         raise InexactDivisionError(inexact)
-                    cols[arity].extend(i for i, r in enumerate(rs) if r % check)
+                    cols[-1].update(i for i, r in enumerate(rs) if r % check)
                     rs = [0 if r % check else r for r in rs]
-                if nc <= e:
+                if nc <= e and _live(cols):
                     raise PrecisionExhaustedError(exhausted)
                 return list(map(floordiv, rs, repeat(check)))
 
-            return divp, divp_columns, max(nc - e, 1)
+            return divp, max(nc - e, 1)
         case DigitSum(exponent=e) if e < 1:  # 0^0 = 1 would weigh the zeros above the top
-            return (*_failing(ValueError, f"digitsum exponent must be >= 1, got {e}"), n)
+            return _failing(ValueError, f"digitsum exponent must be >= 1, got {e}"), n
         case DigitSum(var_index=k, coeffs=cs, exponent=e):
             coordinate, power = itemgetter(k - 1), _DigitPowers(e, p**n).__getitem__
             width, shift = _digit_walk(p)[:2]
@@ -610,12 +593,11 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, Call
                     scale *= shift
                 return total
 
-            return ((lambda xs: digitsum(coordinate(xs))),
-                    (lambda cols: list(map(digitsum, coordinate(cols)))), n)
-    return (*_failing(TypeError, f"not an expression node: {expr!r}"), n)
+            return (lambda cols: list(map(digitsum, coordinate(cols)))), n
+    return _failing(TypeError, f"not an expression node: {expr!r}"), n
 
 
-_last: tuple = (None,) * 5  # (body, p, N, arity, (evaluator, column form)) of the latest compile
+_last: tuple = (None,) * 5  # (body, p, N, arity, column form) of the latest compile
 
 
 def divp_budget(expr: FuncExpr) -> int:

@@ -28,20 +28,21 @@ Brute-force residue enumeration is provided as the independent oracle.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Sequence
 
 from .core import (
+    COLUMN_CHUNK,
     DEFAULT_BUDGET,
     EnumerationBudgetError,
     InexactDivisionError,
     PadicError,
-    PadicInt,
     PadicPoint,
     SampledReport,
     Value,
+    _order,
     failed_check,
-    on_residues,
+    on_columns,
     power_within,
     sampled_scan,
     vanishes_to,
@@ -115,30 +116,31 @@ class LiftTrace(Value):
         }
 
 
-def _level_digit(value: PadicInt, level: int, describe) -> int | None:
-    """Digit `level` of a value that vanishes below it, else None; undecided raises."""
-    if not vanishes_to(value, level, describe, level):
+def _level_digit(residue: int, known: int, level: int, p: int, describe, step: int) -> int | None:
+    """Digit `level` of a value that vanishes below it, else None; undecided raises.
+
+    step is p^level, formed once per level by the caller.
+    """
+    if known <= level:  # no digit below the level is nonzero, or the known ones cannot tell
+        if vanishes_to(residue, known, level, p, describe, level):
+            vanishes_to(residue, known, level + 1, p, describe, level)  # raises
         return None
-    return 0 if vanishes_to(value, level + 1, describe, level) else value.digit(level)
+    low = residue % (step * p)
+    return None if low % step else low // step
 
 
-def _condition_values(
-    F: Callable[[tuple], PadicInt],
-    current: Sequence[int],
-    base_value: PadicInt,
-    coord: int,
-    level: int,
-    prime: int,
-) -> tuple[int | None, ...]:
-    """Normalized differences c_r for r = 1 .. p-1 along one coordinate, F on residues."""
-    step = prime**level
-    values: list[int | None] = []
-    for r in range(1, prime):
-        shifted = list(current)
-        shifted[coord - 1] += r * step
-        d = F(tuple(shifted)) - base_value
-        values.append(_level_digit(d, level, _CONDITION_SITE))
-    return tuple(values)
+def _in_order(F: Callable, strict: Callable, points: list[tuple]):
+    """F's (residue, precision) at each point, in order, all points asked of F at once.
+
+    F treats every error as undefined: a point where it fails is evaluated
+    again alone by `strict` when reached, so it raises its own error after the
+    points before it are checked, as in a loop over the points.
+    """
+    residues, precisions = F(points)
+    for xs, r, n in zip(points, residues, precisions):
+        if r is None:
+            (r,), (n,) = strict([xs])
+        yield r, n
 
 
 def _condition_complete(values: tuple[int | None, ...], prime: int) -> bool:
@@ -163,7 +165,8 @@ def hensel_lift_multi(
     F(start) = 0 mod p^(l0 + min(alpha)). Levels run from l0 + max(alpha);
     with `coordinate` fixed the condition set is checked there, with
     coordinate=None each level searches j = 1 .. n for a qualifying one
-    and records the choice.
+    and records the choice. F is evaluated at eval_precision digits, by
+    default enough for both the target and the start's l0 + max(alpha).
     """
     start = tuple(start)
     arity = len(start)
@@ -180,15 +183,19 @@ def hensel_lift_multi(
             raise PreconditionError(
                 f"start coordinate {k} must lie in [0, p^{l0 + a}), got {z}"
             )
-    W = eval_precision if eval_precision is not None else target_precision
+    W = eval_precision if eval_precision is not None else max(target_precision, l0 + max(alpha))
     if W < target_precision:
         raise PreconditionError(
             f"evaluation precision {W} below target precision {target_precision}"
         )
 
-    F = on_residues(F, prime, W, arity)
-    start_check = F(start)
-    if not vanishes_to(start_check, l0 + min(alpha), "F at start {}".format, start):
+    F, strict = (on_columns(F, prime, W, arity, undefined) for undefined in ((Exception,), ()))
+
+    def value(xs) -> tuple[int, int]:  # one point's residue and precision
+        (residue,), (known,) = strict([tuple(xs)])
+        return residue, known
+
+    if not vanishes_to(*value(start), l0 + min(alpha), prime, "F at start {}".format, start):
         raise PreconditionError(
             f"F(start) is not 0 mod p^{l0 + min(alpha)}; start={list(start)}"
         )
@@ -200,8 +207,9 @@ def hensel_lift_multi(
     current = list(start)
     levels: list[LiftLevel] = []
     for level in range(l0 + max(alpha), target_precision):
-        base = F(tuple(current))
-        t_bar = _level_digit(base, level, _LEVEL_SITE)
+        base, known = value(current)
+        step = prime**level
+        t_bar = _level_digit(base, known, level, prime, _LEVEL_SITE, step)
         if t_bar is None:
             # entry-level gap: F vanishes to the precondition order only
             return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, level)
@@ -209,7 +217,12 @@ def hensel_lift_multi(
         chosen: tuple[int, tuple[int | None, ...]] | None = None
         first_attempt: tuple[int, tuple[int | None, ...]] | None = None
         for coord in [coordinate] if not auto else range(1, arity + 1):
-            values = _condition_values(F, current, base, coord, level, prime)
+            # c_r for r = 1 .. p-1: the p - 1 shifted points go as one column
+            shifted = [tuple(z + r * step if k == coord else z for k, z in enumerate(current, 1))
+                       for r in range(1, prime)]
+            values = tuple(
+                _level_digit(r - base, min(n, known), level, prime, _CONDITION_SITE, step)
+                for r, n in _in_order(F, strict, shifted))
             if first_attempt is None:
                 first_attempt = (coord, values)
             if _condition_complete(values, prime):
@@ -224,14 +237,15 @@ def hensel_lift_multi(
         digit = 1 + values.index(prime - t_bar) if t_bar else 0
         levels.append(LiftLevel(level, coord, t_bar, digit, values, True))
         if digit:
-            current[coord - 1] += digit * prime**level
+            current[coord - 1] += digit * step
 
     root = PadicPoint.from_integers(current, prime, target_precision)
-    final = F(tuple(current))
-    if not vanishes_to(final, target_precision, "F at the lifted root {}".format, current):
+    final, known = value(current)
+    if not vanishes_to(final, known, target_precision, prime, "F at the lifted root {}".format,
+                       current):
         # reachable only when the loop was empty yet the target exceeds
         # the verified start modulus
-        return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, final.ord())
+        return make_trace(STATUS_RESIDUAL_NONLIFTABLE, levels, None, _order(final, prime))
     for k, (z, a) in enumerate(zip(start, alpha)):
         if current[k] % prime ** (l0 + a) != z % prime ** (l0 + a):
             raise PadicError("internal: lifted root lost the start congruence")
@@ -290,22 +304,27 @@ def well_defined_residue_check(
     W = eval_precision if eval_precision is not None else k + 2
     if W <= k:
         raise PreconditionError(f"evaluation precision {W} leaves no room above level {k}")
-    F = on_residues(F, prime, W, arity)
+    F = on_columns(F, prime, W, arity, undefined=(InexactDivisionError,))
     step, lifts = prime**k, prime ** (W - k)
 
     def draw(rng):
         x = tuple(rng.randrange(step) for _ in range(arity))
-        y = tuple(xi + rng.randrange(1, lifts) * step for xi in x)
-        site = _shape(x), _shape(y)
-        try:
-            gap = F(y) - F(x)
-        except InexactDivisionError:
-            return failed_check(site)
-        return site, gap.residue, gap.precision, k - max(alpha)
+        return x, tuple(xi + rng.randrange(1, lifts) * step for xi in x)
+
+    def decide(pairs):  # F(y) - F(x), with F(x) not asked where F(y) is undefined
+        ry, ny = F([y for _, y in pairs])
+        rx, nx = F([x for (x, _), r in zip(pairs, ry) if r is not None])
+        known, checks = iter(zip(rx, nx)), []
+        for (x, y), a, n in zip(pairs, ry, ny):
+            b, m = (None, None) if a is None else next(known)
+            site = _shape(x), _shape(y)
+            checks.append(failed_check(site) if b is None else
+                          (site, (a - b) % prime ** min(n, m), min(n, m), k - max(alpha)))
+        return checks
 
     return sampled_scan(draw, samples, seed, prime,
-                        "deciding the residues of the pair {}".format,
-                        "failures", prime=prime, level=k, alpha=_shape(alpha))
+                        "deciding the residues of the pair {}".format, "failures",
+                        decide=decide, prime=prime, level=k, alpha=_shape(alpha))
 
 
 def brute_force_roots_multi(
@@ -330,10 +349,11 @@ def brute_force_roots_multi(
     W = eval_precision if eval_precision is not None else k
     if W < k:
         raise PreconditionError(f"evaluation precision {W} below level {k}")
-    F = on_residues(F, prime, W, arity)
+    F, strict = (on_columns(F, prime, W, arity, undefined) for undefined in ((Exception,), ()))
     order = k - max(alpha)
     describe = "the root test at {}".format
-    return [
-        values for values in product(range(prime**k), repeat=arity)
-        if vanishes_to(F(values), order, describe, values)
-    ]
+    points, roots = product(range(prime**k), repeat=arity), []
+    while chunk := list(islice(points, COLUMN_CHUNK)):  # the first undecided point raises
+        roots += [xs for xs, (r, n) in zip(chunk, _in_order(F, strict, chunk))
+                  if vanishes_to(r, n, order, prime, describe, xs)]
+    return roots

@@ -224,8 +224,8 @@ class VdpTable(Value, Evaluator):
         _yates(grid, known, self.prime, self.level, self.arity, +1)
         return grid, known
 
-    def on_residues(self, p: int, n: int, arity: int) -> Callable[[tuple], PadicInt]:
-        """The partial sum on residues mod p^n, n >= K: the grid value at x mod p^K."""
+    def on_columns(self, p: int, n: int, arity: int) -> Callable[[list, tuple], tuple[list, list]]:
+        """The partial sum on columns of residues mod p^n, n >= K: grid values at x mod p^K."""
         if arity != self.arity:
             raise ValueError(f"point arity {arity}, table arity {self.arity}")
         if p != self.prime:
@@ -235,11 +235,14 @@ class VdpTable(Value, Evaluator):
                 f"a table at level {self.level} needs {self.level} digits, known {n}")
         (grid, known), side = self._grid, self.side
 
-        def value(xs: tuple) -> PadicInt:
-            pos = self.flat_index([x % side for x in xs])
-            return _from_residue(grid[pos], p, known[pos])
+        def columns(cols: list, undefined: tuple) -> tuple[list, list]:
+            pos = [0] * len(cols[0])  # the flat index, base side, m_n least significant
+            for col in cols:
+                pos = [q * side + x % side for q, x in zip(pos, col)]
+            precisions = [known[i] for i in pos]
+            return _below([grid[i] for i in pos], precisions, p), precisions
 
-        return value
+        return columns
 
     def to_json(self) -> dict:
         """{p, K, N, B[, alpha, b]} with lists at arity 1, else {p, n, K, N, A[, alpha, a]}."""

@@ -5,10 +5,10 @@ Other modules ask core's `vanishes_to` / `column_scan` and
 walk digits through core; a local prefix test or digit walk would bring back a
 precision rule of its own. Sampled checks hand their draws to core's
 `sampled_scan`; a local seeded loop would bring back a report of its own.
-Consumers evaluate F on residue tuples through core's `on_residues` or
-`on_columns`; a point built per evaluation would bring back a per-call adapter
-of its own. Every class that serves
-`on_residues` is a `core.Evaluator`, whose `__call__` is the only one.
+Consumers evaluate F on residue tuples through core's `on_columns`; a point
+built per evaluation would bring back a per-call adapter of its own. Every
+class that serves `on_columns` is a `core.Evaluator`, whose `__call__` is the
+only one, and none serves a second, scalar form.
 Every module-level function and class has a caller in the package, the
 benchmark harness or the README; a definition only tests call is a test
 oracle, and belongs in `tests/support.py`.
@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import Iterator
 
 import padicvdp
-from padicvdp.core import Evaluator, PadicPoint, on_residues
+from padicvdp import dsl
+from padicvdp.core import Evaluator, PadicPoint, on_columns
 from padicvdp.dsl import FuncDef, parse
 
 PACKAGE = Path(padicvdp.__file__).parent
@@ -74,11 +75,6 @@ def _builds_a_point(node) -> bool:
     f = node.func
     return (isinstance(f, ast.Name) and f.id == "PadicPoint"
             or isinstance(f, ast.Attribute) and f.attr == "from_integers")
-
-
-def test_divisible_by_p_power_is_called_only_in_core():
-    uses = _uses("divisible_by_p_power")
-    assert [(module, node.lineno) for module, _, node in uses if module != "core.py"] == []
 
 
 def test_digits_are_read_only_by_core_and_table_json():
@@ -140,7 +136,7 @@ def test_no_module_imports_dataclasses_or_fractions_when_loaded():
 
 def test_only_core_and_the_public_boundaries_build_points():
     builders = {(module, scope) for module, scope, _ in _found(_builds_a_point)}
-    assert builders == POINT_BUILDERS | {("core.py", "on_residues")}
+    assert builders == POINT_BUILDERS | {("core.py", "on_columns")}
 
 
 def _names_in(tree) -> Iterator[str]:
@@ -207,11 +203,12 @@ def _classes_defining(method: str):
                 yield path.name, getattr(module, node.name)
 
 
-def test_every_class_serving_residues_is_an_evaluator():
-    servers = list(_classes_defining("on_residues"))
+def test_every_class_serving_columns_is_an_evaluator():
+    servers = list(_classes_defining("on_columns"))
     assert {(module, cls.__name__) for module, cls in servers} == {
         ("dsl.py", "FuncDef"), ("vdp.py", "VdpTable")}
     assert all(issubclass(cls, Evaluator) for _, cls in servers)
+    assert list(_classes_defining("on_residues")) == []  # one served form
 
 
 def test_only_the_evaluator_base_defines_call():
@@ -231,10 +228,20 @@ def test_the_compiled_form_of_an_earlier_expression_is_not_kept():
 
     # one compile slot: a held evaluator keeps no compiled form once another is evaluated
     a, b = FuncDef(1, parse("x1^2 + digitsum(x1, i, 1)", 1)), FuncDef(1, parse("x1 + 1", 1))
-    compiled = weakref.ref(on_residues(a, 7, 4, 1))
     columns = weakref.ref(a.on_columns(7, 4, 1))
+    assert on_columns(a, 7, 4, 1)([(3,)]) == ([3**2], [4])  # the same form, from the slot
     b(point)
     gc.collect()
-    assert compiled() is None
     assert columns() is None
     assert a(point).residue == 3**2  # digitsum weighs digit i by i, and 3 has one digit
+
+
+def test_parsing_and_building_a_funcdef_compile_nothing():
+    # set-up is parse plus FuncDef(...); compiling waits for the first evaluation
+    FuncDef(1, parse("x1 + 1", 1))(PadicPoint.from_integers((3,), 7, 4))
+    last = dsl._last
+    defn = FuncDef(2, parse("divp(x1^7 - x1, 1) + digitsum(x2, 1 + i, 2)", 2), (1, 0), "text")
+    dsl.parse_funcdef({"arity": 1, "body": "x1^2 - 2", "alpha": 0})
+    assert dsl._last is last
+    defn.on_columns(7, 4, 2)
+    assert dsl._last is not last

@@ -346,6 +346,22 @@ class TestRootsAndLift:
         if code:
             assert out == "" and json.loads(err)["error"]["category"] == "config"
 
+    @pytest.mark.parametrize("budget, code", [("9", 0), ("8", 2)])
+    def test_a_start_read_past_the_target_lifts(self, capsys, budget, code):
+        # levels = max(target, l0 + max(alpha)) = 3: F is evaluated at 3 digits, which the
+        # start check needs, and 3 x 3 digits are charged against the budget
+        got, out, err = run_cli(
+            capsys, "lift", "--prime", "7", "--expr", "x1 - 5", "--start", "5", "--l0", "3",
+            "--target-precision", "2", "--precision", "2", "--budget", budget,
+        )
+        assert got == code
+        if code:
+            assert out == "" and json.loads(err)["error"]["category"] == "config"
+        else:
+            result = json.loads(out)["result"]
+            assert result["status"] == "lifted" and result["levels"] == []
+            assert result["root_text"] == "(5 0 | p=7 N=2)"
+
 
 class TestWellposed:
     def test_total_function_passes(self, capsys):

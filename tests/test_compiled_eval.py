@@ -1,9 +1,10 @@
 """The compiled evaluator agrees with a walk of the tree, errors included.
 
-A FuncDef compiles its body into closures over plain residues; the
-oracle `evaluate_tree` walks the tree and builds a PadicInt per node. Both
-must give the same (precision, residue), or raise the same class with the
-same message, the first error in left-to-right order winning.
+A FuncDef compiles its body into closures over columns of plain residues;
+calling it on a point is a one-point column. The oracle `evaluate_tree` walks
+the tree and builds a PadicInt per node. Both must give the same (precision,
+residue), or raise the same class with the same message, the first error in
+left-to-right order winning.
 """
 import random
 
@@ -132,6 +133,7 @@ def test_hand_built_corner_cases_match_the_tree_walk():
         DivP(Var(1), 3),
         DivP(Mul(IntConst(p**3), Var(2)), 3),
         DivP(Var(1), -1),
+        DivP(RatConst(1, p), -1),  # the child's error wins over the exponent's
         DivP(Var(1), 2),  # exact at the second point only
         Add(DivP(Var(1), 2), DivP(Var(2), 5)),
         "not a node",

@@ -24,7 +24,7 @@ from padicvdp.core import (
     from_integer,
     from_rational,
     is_prime,
-    on_residues,
+    on_columns,
     vanishes_to,
     weight,
 )
@@ -145,14 +145,10 @@ class TestStandardSeq:  # x_t = x mod p^t, read as a value at precision t
 
     def test_first_digit(self):
         x = PadicInt(3, (2, 1, 0, 2))
-        assert from_integer(x.to_integer(), 3, 1).to_integer() == x.digit(0) == 2
+        assert from_integer(x.to_integer(), 3, 1).to_integer() == x.digits[0] == 2
 
     def test_eventually_constant_on_integers(self):
         assert [from_integer(10, 3, t).to_integer() for t in range(1, 6)] == [1, 1, 10, 10, 10]
-
-    def test_out_of_range(self):
-        with pytest.raises(PrecisionExhaustedError, match="^digit 4 outside known precision 4$"):
-            from_integer(10, 3, 4).digit(4)
 
 
 def _shift(x: PadicInt, e: int) -> PadicInt:
@@ -224,9 +220,9 @@ class TestInitialPart:
     def test_matches_ball_membership_exhaustively(self, p):
         # a table with one unit coefficient, at m, reads 1 exactly where m is an initial part
         for m in range(p**3):
-            value = indicator_table(p, 3, (m,)).on_residues(p, 3, 1)
-            for x in range(p**3):
-                assert value((x,)).to_integer() == (x % p ** digit_length(m, p) == m)
+            values, _ = indicator_table(p, 3, (m,)).on_columns(p, 3, 1)([range(p**3)], ())
+            for x, value in enumerate(values):
+                assert value == (x % p ** digit_length(m, p) == m)
 
 
 class TestRational:
@@ -268,13 +264,12 @@ def _seven(value: int) -> PadicInt:
     (lambda: _seven(3) + 3, TypeError, "expected PadicInt, got int"),
     (lambda: from_integer(3, 7, 0), ValueError, "precision must be >= 1, got 0"),
     (lambda: from_rational(1, 2, 7, 0), ValueError, "precision must be >= 1, got 0"),
-    (lambda: on_residues(lambda x: x, 7, 0, 1), ValueError, "precision must be >= 1, got 0"),
+    (lambda: on_columns(lambda x: x, 7, 0, 1), ValueError, "precision must be >= 1, got 0"),
     (lambda: PadicPoint(()), ValueError, "a point needs at least one coordinate"),
     (lambda: PadicInt(7, ()), PrecisionExhaustedError, "a value needs at least one digit"),
     (lambda: PadicInt(7, (7,)), ValueError, "digit 7 out of range for p=7"),
-    (lambda: _seven(3).digit(-1), PrecisionExhaustedError, "digit -1 outside known precision 5"),
 ], ids=["digit-length", "shift-exhausted", "add-int", "from-integer", "from-rational",
-        "on-residues", "empty-point", "empty-digits", "digit-range", "digit-index"])
+        "on-columns", "empty-point", "empty-digits", "digit-range"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -326,13 +321,8 @@ def test_operations_match_integer_model(p, data):
     first_nonzero = next((i for i, d in enumerate(da) if d), math.inf)
     assert x.ord() == first_nonzero
     assert (x.residue == 0) == (first_nonzero == math.inf)
-    for e in range(n + 3):
-        assert x.divisible_by_p_power(e) == all(d == 0 for d in da[:e])
-    for i in range(n):
-        assert x.digit(i) == da[i]
-    for bad in (-1, n):
-        with pytest.raises(PrecisionExhaustedError):
-            x.digit(bad)
+    for e in range(-1, n + 1):
+        assert vanishes_to(x.residue, n, e, p, str, None) == all(d == 0 for d in da[:max(e, 0)])
 
     for e in range(4):
         _assert_model(_shift(x, -e), p, a * p**e, n + e)
@@ -423,12 +413,13 @@ def test_column_scan_matches_integer_model(case, cuts):
 def test_vanishes_to_matches_integer_model(case):
     p, checks = case
     for i, (r, n, e) in enumerate(checks):
-        value, single = from_integer(r, p, n), vanishing_verdict_int([(r, n, e)], p)[0]
+        single = vanishing_verdict_int([(r, n, e)], p)[0]
         if single == "undecided":
-            with pytest.raises(PrecisionExhaustedError, match=f"^check {i} needs {e} digits"):
-                vanishes_to(value, e, "check {}".format, i)
+            with pytest.raises(PrecisionExhaustedError,
+                               match=f"^check {i} needs {e} digits, known {n}$"):
+                vanishes_to(r, n, e, p, "check {}".format, i)
         else:
-            assert vanishes_to(value, e, "check {}".format, i) == (single == "holds")
+            assert vanishes_to(r, n, e, p, "check {}".format, i) == (single == "holds")
 
 
 @pytest.mark.parametrize("alpha, arity, expected", [

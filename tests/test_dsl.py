@@ -353,14 +353,14 @@ class TestEvaluate:
     def test_a_divp_past_the_known_digits_never_forms_its_power_of_p(self):
         # with e >= N the division always fails, and p^e would have millions of digits
         started = time.perf_counter()
-        f = FuncDef(1, DivP(Var(1), 3 * 10**6)).on_residues(7, 5, 1)
+        f = FuncDef(1, DivP(Var(1), 3 * 10**6)).on_columns(7, 5, 1)
         assert time.perf_counter() - started < 0.5
         with pytest.raises(InexactDivisionError,
                            match=r"^value is not divisible by p\^3000000 \(p=7\)$"):
-            f((1,))
+            f([[1]], ())
         with pytest.raises(PrecisionExhaustedError,
                            match=r"^dividing by p\^3000000 leaves no known digits \(precision 5\)$"):
-            f((0,))
+            f([[0]], ())
 
     def test_precision_loss_is_worst_case_per_branch(self):
         got = ev1("x1 + divp(x1 - x1^7, 1)", 2, 7, 6)

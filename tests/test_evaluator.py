@@ -1,11 +1,12 @@
-"""One evaluator contract: every consumer takes F through core's `on_residues`.
+"""One evaluator contract: every consumer takes F through core's `on_columns`.
 
-A FuncDef serves its compiled form on residue tuples, a VdpTable its partial
-sum from the level-K grid; a plain callable on points is wrapped once. Each
-must give every consumer the same result as the plain callable, which must be
-called exactly as often as the closed forms say. An evaluator that cannot
-serve the consumer's arity, prime or precision is refused before anything is
-evaluated.
+A FuncDef serves its compiled form on columns of residues, a VdpTable its
+partial sum from the level-K grid; a plain callable on points is wrapped once
+and called one point at a time. Each must give every consumer the same result
+as the plain callable, which must be called exactly as often as the closed
+forms say, and a FuncDef's column form must see exactly that many points. An
+evaluator that cannot serve the consumer's arity, prime or precision is
+refused before anything is evaluated.
 """
 import random
 
@@ -138,11 +139,11 @@ def test_a_table_and_its_lookup_give_every_consumer_the_same_result(table):
 
 
 class SpyTable(VdpTable):
-    """A table that records every evaluation of the form it serves."""
+    """A table that records every call of the form it serves."""
 
-    def on_residues(self, p, n, arity):
-        f = super().on_residues(p, n, arity)
-        return lambda xs: self.calls.append(xs) or f(xs)
+    def on_columns(self, p, n, arity):
+        columns = super().on_columns(p, n, arity)
+        return lambda cols, undefined: self.calls.append(cols) or columns(cols, undefined)
 
 
 def spy_table(prime: int, level: int, arity: int) -> SpyTable:
@@ -164,3 +165,39 @@ def test_a_table_that_cannot_serve_is_refused_before_any_evaluation(
     with pytest.raises(error, match=message):
         CONSUMERS[consumer](table, applied)
     assert table.calls == []
+
+
+def test_a_funcdef_sees_the_closed_form_count_of_points():
+    # the spy records the size of each column call; the closed forms are the traced
+    # harness's: p^(K n) for expansion, p^(k n) for roots, and for a fixed-coordinate lift
+    # the start, then per level the base point alone and its p - 1 shifts as one column,
+    # then the replay
+    sizes = []
+
+    class Spy(FuncDef):
+        def on_columns(self, p, n, arity):
+            columns = super().on_columns(p, n, arity)
+            return lambda cols, undefined: sizes.append(len(cols[0])) or columns(cols, undefined)
+
+    def seen(consumer, *args, **kwargs):
+        sizes.clear()
+        return consumer(*args, **kwargs), list(sizes)
+
+    F = Spy(2, parse("x1^2 + x2^2 + 1", 2))
+    assert sum(seen(vdp_expand_multi, F, 2, 2, 7, 4)[1]) == 7**4
+    assert sum(seen(brute_force_roots_multi, F, 2, (0, 0), 2, 7)[1]) == 7**4
+    assert sum(seen(roots_mod_uni, Spy(1, parse("x1^2 - 2", 1)), 0, 3, 7)[1]) == 7**3
+
+    for p, text, root in [(7, "x1^2 - 2", 3), (5, "x1^3 - 3", 2), (2, "x1 - 5", 1)]:
+        trace, got = seen(hensel_lift_multi, Spy(1, parse(text, 1)), (0,), (root,), 1, 12, p,
+                          coordinate=1)
+        assert trace.status == "lifted" and len(trace.levels) == 11
+        assert got == [1] + [1, p - 1] * len(trace.levels) + [1]
+        assert sum(got) == 2 + p * len(trace.levels) and max(got) <= max(p - 1, 1)
+
+    # the entry-level gap of a weighted start: the base's digit is checked first, so no
+    # shifted point is evaluated
+    trace, got = seen(hensel_lift_multi, Spy(2, parse("x1 + 0 * x2", 2)), (1, 0), (3, 0), 1, 6,
+                      3, coordinate=1)
+    assert trace.status == "residual-nonliftable" and trace.failed_level == 2
+    assert got == [1, 1]

@@ -162,8 +162,11 @@ class TestLiftUnivariate:
             hensel_lift_uni(f, 0, 3, 1, 6, 7, eval_precision=6)
 
     def test_condition_read_names_the_level(self):
-        # x^2 - 2 with every point but the start known to one digit only
+        # x^2 - 2 with every point but the start known to one digit only; the first shifted
+        # point's undecided digit raises before the second point's own error
         def f(x):
+            if x.to_integer() == 3 + 2 * 7:
+                raise ValueError("the second shifted point")
             return from_integer((x.to_integer() ** 2 - 2) % 7**6, 7, 6 if x.to_integer() == 3 else 1)
 
         with pytest.raises(PrecisionExhaustedError,
@@ -271,6 +274,14 @@ class TestLiftMultivariate:
         assert trace.status == STATUS_RESIDUAL_NONLIFTABLE
         assert trace.failed_level == 1
         assert trace.levels == () and trace.root is None
+
+    def test_the_default_evaluation_precision_covers_the_start(self):
+        # l0 + max(alpha) = 3 is above the target 2: the start is read to 3 digits, no
+        # level runs, and the replay confirms the start to 2
+        trace = hensel_lift_multi(multi("x1 - 5 + 0 * x2", 2), (0, 0), (5, 0), 3, 2, 7,
+                                  coordinate=1)
+        assert trace.status == STATUS_LIFTED and trace.levels == ()
+        assert str(trace.root) == "(5 0 | p=7 N=2; 0 0 | p=7 N=2)"
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_lifted_root_reduces_into_brute_force_roots(self, p):

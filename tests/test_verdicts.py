@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from padicvdp.core import PrecisionExhaustedError
+from padicvdp.core import PrecisionExhaustedError, from_integer
 from padicvdp.dsl import FuncDef, as_point_function, parse
 from padicvdp.hensel import (
     brute_force_roots_multi,
@@ -51,6 +51,19 @@ class TestOverclaims:
         # pairs with ord(x - y) = 3 need 3 digits of f = x^2, which keeps 2
         with pytest.raises(PrecisionExhaustedError, match=r"needs 3 digits, known 2"):
             sampled_lip_check_uni(uni("divp(49*x1^2, 2)"), 0, 2000, 7, 4)
+
+    def test_roots_raise_at_the_first_undecided_point_even_beside_non_roots(self):
+        # a table's grid values at x mod 3: 1 (a non-root), 0 known to 1 digit (undecided
+        # at order 2) and 0 (a root); the non-roots at x = 0 and 3 do not decide x = 1
+        table = VdpTable(3, 1, [from_integer(1, 3, 3), from_integer(0, 3, 1),
+                                from_integer(0, 3, 3)])
+        with pytest.raises(PrecisionExhaustedError,
+                           match=r"^the root test at \(1,\) needs 2 digits, known 1$"):
+            brute_force_roots_multi(table, 2, (0,), 1, 3)
+        # x/7 keeps 1 of 2 digits: 0 is undecided, and is tested before 1 fails to divide
+        with pytest.raises(PrecisionExhaustedError,
+                           match=r"^the root test at \(0,\) needs 2 digits, known 1$"):
+            brute_force_roots_multi(uni("divp(x1, 1)"), 2, (0,), 1, 7)
 
     def test_a_violation_wins_over_undecided_pairs(self):
         # the same draws and starved pairs, plus (x - x^7)/7, which is not 1-Lipschitz
