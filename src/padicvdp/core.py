@@ -312,6 +312,28 @@ def _digit_blocks(residue: int, p: int) -> Iterator[list[int]]:
         yield digits
 
 
+def _digit_sum(x: int, p: int, block_sum: Callable, slots: list) -> int:
+    """The sum over blocks b of x of p^(bW) block_sum(b, digits of block b); x < p^(W len(slots)).
+
+    slots[b] is the (value, block_sum) of the block last met at position b
+    below the top, replaced whole, so a racing caller reads a consistent pair.
+    A lower block is split into digits only when its value differs from its
+    slot's; the top block is summed on every call. Sums combine top down.
+    """
+    shift, sums = _digit_walk(p)[1], []
+    while x >= shift:  # block b = len(sums) lies below the top
+        x, block = divmod(x, shift)
+        b = len(sums)
+        slot = slots[b]
+        if slot[0] != block:
+            slot = slots[b] = block, block_sum(b, next(_digit_blocks(block, p), ()))
+        sums.append(slot[1])
+    total = block_sum(len(sums), next(_digit_blocks(x, p), ()))
+    for s in reversed(sums):
+        total = total * shift + s
+    return total
+
+
 def _digit_list(residue: int, p: int, precision: int) -> list[int]:
     """The first `precision` base-p digits of 0 <= residue < p^precision, low first."""
     digits = [d for block in _digit_blocks(residue, p) for d in block]
@@ -572,10 +594,10 @@ def on_columns(F: Callable, p: int, n: int, arity: int, undefined: tuple = ()
     A point where F raises one of `undefined` gets None for both. An
     Evaluator's column form takes COLUMN_CHUNK points at a time, and may mark
     such points itself; an evaluator of another arity raises here, before any
-    call. A chunk that raises is evaluated again one point at a time, as
-    one-point columns, so the error raised is the first point's, as in a loop
-    over the points. A plain callable on points is called once per point and
-    in order, so this is the one place a consumer's point is built.
+    call. A chunk of several points that raises is evaluated again one point
+    at a time, as one-point columns, so the error raised is the first point's,
+    as in a loop over the points. A plain callable on points is called once
+    per point and in order, so this is the one place a consumer's point is built.
     """
     _require_prime(p)
     if n < 1:
@@ -592,7 +614,8 @@ def on_columns(F: Callable, p: int, n: int, arity: int, undefined: tuple = ()
                 raise ValueError(f"F gave a value at prime {value.prime}, not {p}")
             return [value.residue], [value.precision]
 
-    def by_points(points: Iterable[tuple], residues: list, known: list) -> None:
+    def by_points(points: Iterable[tuple]) -> tuple[list, list]:
+        residues, known = [], []
         for xs in points:
             try:
                 residue, precision = one(xs)
@@ -600,20 +623,20 @@ def on_columns(F: Callable, p: int, n: int, arity: int, undefined: tuple = ()
                 residue, precision = [None], [None]
             residues += residue
             known += precision
+        return residues, known
 
     def evaluate(points: Iterable[tuple]) -> tuple[list, list]:
-        residues, known, points = [], [], iter(points)
         if columns is None:
-            by_points(points, residues, known)
-            return residues, known
+            return by_points(points)
+        residues, known, points = [], [], iter(points)
         while chunk := list(islice(points, COLUMN_CHUNK)):
+            several = len(chunk) > 1  # one point's error is its own: raised, or marked, at once
             try:
                 chunk_residues, chunk_known = columns(list(zip(*chunk)), undefined)
-            except Exception:
-                by_points(chunk, residues, known)
-            else:
-                residues += chunk_residues
-                known += chunk_known
+            except Exception if several else undefined:
+                chunk_residues, chunk_known = by_points(chunk) if several else ([None], [None])
+            residues += chunk_residues
+            known += chunk_known
         return residues, known
 
     return evaluate

@@ -33,7 +33,7 @@ from .core import (
     PrecisionExhaustedError,
     SampledReport,
     Value,
-    _digit_blocks,
+    _digit_sum,
     _digit_walk,
     failed_check,
     from_rational,
@@ -582,18 +582,22 @@ def _compile(expr: FuncExpr, p: int, n: int, arity: int) -> tuple[Callable, int]
             return _failing(ValueError, f"digitsum exponent must be >= 1, got {e}"), n
         case DigitSum(var_index=k, coeffs=cs, exponent=e):
             coordinate, power = itemgetter(k - 1), _DigitPowers(e, p**n).__getitem__
-            width, shift = _digit_walk(p)[:2]
+            width = _digit_walk(p)[0]
             weights = [p ** (j % width) * _poly_eval(cs, j) for j in range(n)]  # p^t a(bW + t)
             slices = [weights[j : j + width] for j in range(0, n, width)]
+            slots = [(None, 0)] * len(slices)  # what _digit_sum last met at each block position
 
-            def digitsum(x):  # block b weighs p^(bW); none above the top nonzero one is read
-                total, scale = 0, 1
-                for ws, block in zip(slices, _digit_blocks(x, p)):
-                    total += scale * sum(map(mul, ws, map(power, block)))
-                    scale *= shift
-                return total
+            def block_sum(b, digits):  # d^e < p^W is no wider than a weight: a product per digit
+                return sum(map(mul, slices[b], map(power, digits)))
 
-            return (lambda cols: list(map(digitsum, coordinate(cols)))), n
+            if e > width:  # d^e grows to N digits: one product by it per distinct digit d
+                def block_sum(b, digits):
+                    groups = {}
+                    for d, w in zip(digits, slices[b]):
+                        groups[d] = groups.get(d, 0) + w
+                    return sum(power(d) * w for d, w in groups.items())
+
+            return (lambda cols: [_digit_sum(x, p, block_sum, slots) for x in coordinate(cols)]), n
     return _failing(TypeError, f"not an expression node: {expr!r}"), n
 
 

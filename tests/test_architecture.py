@@ -16,7 +16,10 @@ oracle, and belongs in `tests/support.py`.
 import ast
 import gc
 import importlib
+import os
 import re
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -245,3 +248,15 @@ def test_parsing_and_building_a_funcdef_compile_nothing():
     assert dsl._last is last
     defn.on_columns(7, 4, 2)
     assert dsl._last is not last
+
+    # in a fresh process, set-up leaves the digit walk unmade and the compile slot empty too:
+    # the digitsum's weights and block slots are made by its first evaluation
+    code = ("import padicvdp\n"
+            "from padicvdp import core, dsl\n"
+            "body = dsl.parse('-5 + digitsum(x1, 4 + 7*i^3, 5) + digitsum(x2, i, 99)', 2)\n"
+            "dsl.FuncDef(2, body, (0, 0), 'text')\n"
+            "print(core._digit_walk.cache_info().currsize, dsl._last == (None,) * 5)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True\n"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicvdp import core
 from padicvdp.core import (
     InexactDivisionError,
     PadicPoint,
@@ -36,6 +37,7 @@ from padicvdp.dsl import (
     parse_funcdef,
     well_defined_check,
 )
+from padicvdp.hensel import hensel_lift_multi
 
 from support import (
     QUINTIC_TEXT,
@@ -255,6 +257,23 @@ class TestDigitMapCost:
         assert time.perf_counter() - started < 1.0
         assert value.residue == x  # every weight is 1, so the map is the identity
 
+    def test_a_large_exponent_costs_within_3x_of_a_small_one(self):
+        # d^e mod p^N has N digits once e is large: a block takes one product per distinct digit
+        p, n = 7, 8000
+        x = p**n - 1
+
+        def best(e: int) -> float:
+            times = []
+            for _ in range(5):
+                columns = FuncDef(1, DigitSum(1, (1,), e)).on_columns(p, n, 1)  # slots all empty
+                started = time.perf_counter()
+                (value,), _ = columns([[x]], ())
+                times.append(time.perf_counter() - started)
+            assert value == pow(p - 1, e, p**n) * (x // (p - 1)) % p**n  # every digit is p - 1
+            return min(times)
+
+        assert best(16807) < 3 * best(5)
+
     @staticmethod
     def peak_bytes(expr, point) -> int:
         tracemalloc.start()
@@ -287,6 +306,97 @@ class TestDigitMapCost:
         finally:
             tracemalloc.stop()
         assert kept < 2**18
+
+
+@st.composite
+def value_walks(draw, p: int, n: int) -> list[int]:
+    """Values below p^n in the order one compiled form meets them, so a stale slot shows.
+
+    Each step keeps every block below some position and draws a new top block
+    there, changes one block, or goes to 0, p^(kW), p^(kW) - 1 or a fresh value.
+    """
+    width = _digit_walk(p)[0]
+    x = draw(block_residues(p, n))
+    walk = [x]
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, (n - 1) // width))  # a block position
+        low, size = p ** (k * width), p ** min(width, n - k * width)
+        step = draw(st.sampled_from(["top", "one", "zero", "power", "below", "fresh"]))
+        if step == "top":  # the blocks below k are shared
+            x = x % low + draw(st.integers(1, size - 1)) * low
+        elif step == "one":
+            x += (draw(st.integers(0, size - 1)) - x // low % size) * low
+        elif step == "fresh":
+            x = draw(block_residues(p, n))
+        else:
+            x = {"zero": 0, "power": low, "below": low - 1}[step]
+        walk.append(x)
+    return walk
+
+
+class TestDigitSlots:
+    """A compiled digitsum keeps (value, sum) of the block last met at each lower position."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 7, 257, 1_000_003]), st.data())
+    def test_values_through_one_compiled_form_match_the_integer_model(self, p, data):
+        width = _digit_walk(p)[0]
+        n = data.draw(st.sampled_from([1, width - 1, width, width + 1, 3 * width + 2]))
+        walk = data.draw(value_walks(p, n))
+        # a(i) depends on i, so a block's sum at one position is wrong at another
+        coeffs = (data.draw(st.integers(-9, 9)), data.draw(st.sampled_from([-3, 1, 2])))
+        exponent = data.draw(st.sampled_from([1, 2, 5, width + 1]))
+        columns = FuncDef(1, DigitSum(1, coeffs, exponent)).on_columns(p, n, 1)
+        want = [digitsum_int(coeffs, exponent, x, p, n) for x in walk]
+        assert [columns([[x]], ())[0][0] for x in walk] == want
+        assert columns([walk], ())[0] == want  # again, as one column, from the slots left
+
+    def test_blocks_equal_in_value_at_two_positions_keep_their_own_sums(self):
+        p = 2
+        width = _digit_walk(p)[0]
+        n, coeffs, full = 3 * width, (1, 1), 2**width - 1
+        columns = FuncDef(1, DigitSum(1, coeffs, 1)).on_columns(p, n, 1)
+        for x in [full, full * (1 + 2**width) + 2 ** (2 * width), 2**width, 2 ** (2 * width),
+                  2 ** (2 * width) - 1, 0, full * 2**width + 1]:
+            assert columns([[x]], ())[0] == [digitsum_int(coeffs, 1, x, p, n)], x
+
+    def test_a_lift_splits_each_lower_block_once_per_change_of_its_value(self, monkeypatch):
+        p = 2
+        n = 3 * _digit_walk(p)[0] + 10
+        split, seen = [], []
+        blocks = core._digit_blocks
+
+        def spy(residue, p):
+            for digits in blocks(residue, p):
+                split.append(residue)
+                yield digits
+
+        class Spy(FuncDef):
+            def on_columns(self, p, n, arity):
+                columns = super().on_columns(p, n, arity)
+                return lambda cols, undefined: seen.extend(cols[0]) or columns(cols, undefined)
+
+        monkeypatch.setattr(core, "_digit_blocks", spy)
+        trace = hensel_lift_multi(Spy(1, parse("digitsum(x1, 1 + 2*i, 3) - 5", 1)), (0,), (1,),
+                                  1, n, p, coordinate=1)
+        assert trace.status == "lifted" and len(seen) == 2 + p * (n - 1)
+        tops = sum(x > 0 for x in seen)  # every evaluation splits its top block
+        # a lower block's digits are fixed once the lift passes it: blocks 0, 1 and 2 are
+        # each split once below the top, when they first lie there
+        assert len(split) - tops == 3
+
+    def test_2000_values_keep_the_compiled_form_under_256_kib(self):
+        p, n, rng = 7, 300, random.Random(0)
+        values = [rng.randrange(p**n) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            columns = FuncDef(1, parse("digitsum(x1, 1 + i, 2)", 1)).on_columns(p, n, 1)
+            for x in values:
+                columns([[x]], ())
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 256 * 2**10
 
 
 class TestFuncDef:

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicvdp.core import PrecisionExhaustedError, from_integer
+from padicvdp.core import (
+    InexactDivisionError,
+    PrecisionExhaustedError,
+    from_integer,
+    on_columns,
+)
 from padicvdp.dsl import FuncDef, divp_budget, parse, well_defined_check
 from padicvdp.hensel import (
     brute_force_roots_multi,
@@ -201,3 +206,28 @@ def test_a_funcdef_sees_the_closed_form_count_of_points():
                       3, coordinate=1)
     assert trace.status == "residual-nonliftable" and trace.failed_level == 2
     assert got == [1, 1]
+
+
+@pytest.mark.parametrize("text, undefined, error, message", [
+    ("divp(x1, 1)", (), InexactDivisionError, "value is not divisible by p^1 (p=7)"),
+    ("divp(0 * x1, 5)", (), PrecisionExhaustedError,
+     "dividing by p^5 leaves no known digits (precision 3)"),
+    ("divp(0 * x1, 5)", (PrecisionExhaustedError,), None, None),
+], ids=["inexact", "exhausted", "exhausted-undefined"])
+def test_a_one_point_chunk_that_raises_is_evaluated_once(text, undefined, error, message):
+    # its error is that point's already: it is raised, or the point marked undefined, at once
+    sizes = []
+
+    class Spy(FuncDef):
+        def on_columns(self, p, n, arity):
+            columns = super().on_columns(p, n, arity)
+            return lambda cols, undefined: sizes.append(len(cols[0])) or columns(cols, undefined)
+
+    evaluate = on_columns(Spy(1, parse(text, 1)), 7, 3, 1, undefined)
+    if error is None:
+        assert evaluate([(1,)]) == ([None], [None])
+    else:
+        with pytest.raises(error) as info:
+            evaluate([(1,)])
+        assert type(info.value) is error and str(info.value) == message
+    assert sizes == [1]
